@@ -55,14 +55,14 @@ def test_bench_fig6_incremental_costs(benchmark):
             "SUB@U1": model.incremental_cost(partial, sub, _alt(sn, sub, "U1")),
             "SUB@U2": model.incremental_cost(partial, sub, _alt(sn, sub, "U2")),
         }
-        partial.choice[sub] = _alt(sn, sub, "U1")
+        partial = partial.extended(_alt(sn, sub, "U1"), 0)
         costs["MUL@U2"] = model.incremental_cost(
             partial, mul, _alt(sn, mul, "U2")
         )
         costs["MUL@U3"] = model.incremental_cost(
             partial, mul, _alt(sn, mul, "U3")
         )
-        partial.choice[mul] = _alt(sn, mul, "U2")
+        partial = partial.extended(_alt(sn, mul, "U2"), 0)
         costs["ADD@U1"] = model.incremental_cost(
             partial, add, _alt(sn, add, "U1")
         )

@@ -30,7 +30,7 @@ from typing import Dict, FrozenSet, List, Optional, Set
 from repro.ir.dag import BlockDAG
 from repro.isdl.model import Machine
 from repro.covering.config import HeuristicConfig
-from repro.covering.cover import _build_cliques, _lookahead_estimate
+from repro.covering.cover import _build_cliques, _Lookahead
 from repro.covering.engine import generate_block_solution
 from repro.covering.taskgraph import TaskGraph
 from repro.covering.assignment import explore_assignments
@@ -151,7 +151,7 @@ def optimal_block_cost(
                     exhausted = True
                     break
                 remaining = set(all_tasks - covered)
-                if depth + _lookahead_estimate(graph, remaining) >= best:
+                if depth + _Lookahead(graph, remaining).estimate([]) >= best:
                     continue
                 known = memo.get(covered)
                 if known is not None and known <= depth:

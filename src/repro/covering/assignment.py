@@ -72,6 +72,39 @@ class _Partial:
     cost: int
     #: op ids absorbed by an already-chosen complex alternative
     absorbed: Set[int] = field(default_factory=set)
+    #: unit -> op ids in ``choice`` that root their alternative there
+    #: (``choice[x].covers[0] == x``): the ops occupying that unit.
+    #: Derived from ``choice`` when not given; :meth:`extended` keeps it
+    #: current, so ``choice`` must not be mutated afterwards.
+    roots: Optional[Dict[str, Tuple[int, ...]]] = None
+
+    def __post_init__(self) -> None:
+        if self.roots is None:
+            self.roots = {}
+            for op_id, alternative in self.choice.items():
+                if alternative.covers[0] == op_id:
+                    self.roots[alternative.unit] = self.roots.get(
+                        alternative.unit, ()
+                    ) + (op_id,)
+
+    def extended(
+        self, alternative: Alternative, increment: int
+    ) -> "_Partial":
+        """A copy with ``alternative`` bound to every op it covers."""
+        choice = dict(self.choice)
+        roots = dict(self.roots)
+        for covered_id in alternative.covers:
+            previous = choice.get(covered_id)
+            if previous is not None and previous.covers[0] == covered_id:
+                roots[previous.unit] = tuple(
+                    r for r in roots[previous.unit] if r != covered_id
+                )
+            choice[covered_id] = alternative
+        root = alternative.covers[0]
+        roots[alternative.unit] = roots.get(alternative.unit, ()) + (root,)
+        absorbed = set(self.absorbed)
+        absorbed.update(alternative.covers[1:])
+        return _Partial(choice, self.cost + increment, absorbed, roots)
 
 
 class _CostModel:
@@ -138,14 +171,11 @@ class _CostModel:
         for operand_id in operand_ids:
             if is_leaf(self.dag.node(operand_id).opcode):
                 cost += self.distance(machine.data_memory, rf)
-        # Parallelism foregone against every already-assigned operation.
-        for other_id, other_alt in partial.choice.items():
+        # Parallelism foregone against every already-assigned operation
+        # on the same unit (only the root of a complex op occupies it).
+        for other_id in partial.roots.get(alternative.unit, ()):
             if other_id in covered or other_id in partial.absorbed:
                 continue
-            if other_alt.unit != alternative.unit:
-                continue
-            if other_alt.covers[0] != other_id:
-                continue  # only the root of a complex op occupies the unit
             if self.independent(other_id, root):
                 cost += 1
         if self.config.register_aware_assignment:
@@ -168,12 +198,8 @@ class _CostModel:
         machine = self.machine
         bank_size = machine.rf_of_unit(alternative.unit).size
         overlapping = 1  # our own result
-        for other_id, other_alt in partial.choice.items():
+        for other_id in partial.roots.get(alternative.unit, ()):
             if other_id in partial.absorbed:
-                continue
-            if other_alt.unit != alternative.unit:
-                continue
-            if other_alt.covers[0] != other_id:
                 continue
             if self.independent(other_id, root):
                 overlapping += 1
@@ -268,13 +294,8 @@ def explore_assignments(
                     )
                 scored = kept
                 for increment, alternative in scored:
-                    choice = dict(partial.choice)
-                    for covered_id in alternative.covers:
-                        choice[covered_id] = alternative
-                    absorbed = set(partial.absorbed)
-                    absorbed.update(alternative.covers[1:])
                     next_frontier.append(
-                        _Partial(choice, partial.cost + increment, absorbed)
+                        partial.extended(alternative, increment)
                     )
             if config.frontier_limit is not None and len(next_frontier) > config.frontier_limit:
                 next_frontier.sort(key=lambda p: p.cost)

@@ -5,7 +5,11 @@ Fig. 8 pseudo-code: a recursive generator over the pairwise-parallelism
 matrix whose first loop greedily absorbs every node that "will not
 preclude adding any other node", whose second loop branches on the
 remaining compatible nodes, and whose ``i < index`` test prunes cliques
-that an earlier seed already produced.
+that an earlier seed already produced.  Its bitmask counterpart,
+:func:`generate_maximal_clique_masks`, gets the same answer faster by
+enumerating with pivoting Bron–Kerbosch and keeping the Fig. 8
+recursion for the one case where its traversal order matters: when the
+``max_cliques`` budget is reached.
 
 :func:`legalize_cliques` implements IV-C.3: each proposed instruction is
 compared with the ISDL constraints; an illegal grouping is split into
@@ -138,10 +142,102 @@ def _enumerate_clique_masks(
     budget: Optional[int],
     restrict: int = 0,
 ) -> Tuple[Set[int], bool, List[int]]:
-    """The Fig. 8 recursion over integer bitmask rows.
+    """Maximal cliques over integer bitmask rows, with Fig. 8's budget.
 
     ``rows`` maps each node to the mask of nodes it is parallel with
-    (self bit clear).  Returns ``(found_masks, budget_tripped, [index_prunes,
+    (self bit clear).  Returns ``(found_masks, budget_tripped,
+    [index_prunes, revisit_skips, fig8_fallbacks])``.
+
+    Enumeration runs pivoting Bron–Kerbosch first
+    (:func:`_pivot_clique_masks`).  Below ``budget`` the Fig. 8
+    recursion cannot trip — it only ever holds maximal cliques — and the
+    set of maximal cliques is unique, so the pivoting result *is* the
+    Fig. 8 result.  When the pivoting count reaches the budget, which
+    cliques survive depends on Fig. 8's traversal order, so the Fig. 8
+    recursion (:func:`_fig8_clique_masks`) runs and alone decides the
+    result; the Fig. 8 statistics are non-zero only then.
+
+    A non-zero ``restrict`` keeps only the cliques intersecting it (both
+    enumerations prune a branch once ``members | candidates`` misses
+    it), which is what makes the post-spill incremental rebuild exact.
+    """
+    if budget is None or budget > 0:
+        found = _pivot_clique_masks(rows, budget, restrict)
+        if found is not None:
+            return found, False, [0, 0, 0]
+    found, tripped, stats = _fig8_clique_masks(rows, budget, restrict)
+    return found, tripped, stats + [1]
+
+
+def _pivot_clique_masks(
+    rows: Dict[int, int], budget: Optional[int], restrict: int = 0
+) -> Optional[Set[int]]:
+    """Every maximal clique by Bron–Kerbosch with Tomita pivoting, or
+    ``None`` as soon as the count reaches ``budget``.
+
+    Each branch holds ``members`` (the clique so far), ``candidates``
+    (nodes parallel with every member) and ``excluded`` (nodes parallel
+    with every member whose cliques an earlier sibling already produced).
+    Branching only on candidates *not* parallel with the pivot — the node
+    of ``candidates | excluded`` with the most parallel candidates —
+    reports every maximal clique exactly once.  Every clique reported
+    below a branch lies inside ``members | candidates``, so a branch
+    missing a non-zero ``restrict`` is cut without losing any clique
+    that intersects it.
+    """
+    found: Set[int] = set()
+
+    def expand(members: int, candidates: int, excluded: int) -> None:
+        # ``candidates`` is non-empty and ``members | candidates`` meets
+        # ``restrict`` (when set): the caller checked both.
+        best = -1
+        pivot_row = 0
+        rest = candidates | excluded
+        while rest:
+            low = rest & -rest
+            row = rows[low.bit_length() - 1] & candidates
+            count = popcount(row)
+            if count > best:
+                best, pivot_row = count, row
+            rest ^= low
+        rest = candidates & ~pivot_row
+        while rest:
+            low = rest & -rest
+            row = rows[low.bit_length() - 1]
+            grown = members | low
+            inside = candidates & row
+            if restrict and not ((grown | inside) & restrict):
+                pass
+            elif inside:
+                expand(grown, inside, excluded & row)
+            elif not excluded & row:
+                found.add(grown)  # nothing left to add or exclude: maximal
+                if budget is not None and len(found) >= budget:
+                    raise _CliqueBudgetExceeded
+            candidates ^= low
+            excluded |= low
+            rest ^= low
+
+    everything = 0
+    for node in rows:
+        everything |= 1 << node
+    if not everything or (restrict and not everything & restrict):
+        return found
+    try:
+        expand(0, everything, 0)
+    except _CliqueBudgetExceeded:
+        return None
+    return found
+
+
+def _fig8_clique_masks(
+    rows: Dict[int, int],
+    budget: Optional[int],
+    restrict: int = 0,
+) -> Tuple[Set[int], bool, List[int]]:
+    """The Fig. 8 recursion over integer bitmask rows.
+
+    Returns ``(found_masks, budget_tripped, [index_prunes,
     revisit_skips])``.  The traversal — seed order, the greedy absorb of
     the lowest non-precluding candidate, the ``i < index`` prune, the
     visited memo, and the budget check — mirrors the numpy reference
@@ -153,8 +249,7 @@ def _enumerate_clique_masks(
     subset of ``members | compatible``, and on any reference path that
     produces a clique C, ``members ⊆ C ⊆ members | compatible`` holds at
     every step — so the prune loses exactly the cliques disjoint from
-    ``restrict`` and nothing else.  This is what makes the post-spill
-    incremental rebuild exact.
+    ``restrict`` and nothing else.
     """
     found: Set[int] = set()
     visited: Dict[int, int] = {}
@@ -241,6 +336,7 @@ def generate_maximal_clique_masks(
         tm.count("cliques.enumerated", len(found))
         tm.count("cliques.index_prunes", stats[0])
         tm.count("cliques.revisit_skips", stats[1])
+        tm.count("cliques.fig8_fallbacks", stats[2])
         tm.count("cliques.budget_trips", 1 if tripped else 0)
         tm.count("cliques.singleton_topups", singleton_topups)
         tm.record("cliques.matrix_size", len(rows))
@@ -425,11 +521,7 @@ def legalize_clique_masks(
             )
         for low in _low_bits(violated):
             work.append(clique & ~low)
-    result = [
-        c
-        for c in legal
-        if not any(c != other and c & ~other == 0 for other in legal)
-    ]
+    result = _drop_subsumed(legal)
     tm = _telemetry()
     if tm.enabled:
         tm.count("cliques.illegal_split", splits)
@@ -445,6 +537,34 @@ def legalize_clique_masks(
             graph, machine, set(iter_bits(requested & ~covered))
         )
     return sorted(result, key=lambda m: (-popcount(m), bits(m)))
+
+
+def _drop_subsumed(cliques: Set[int]) -> List[int]:
+    """The cliques not strictly contained in another one.
+
+    Walks the cliques largest-first: everything that could contain a
+    clique is strictly larger and so already decided, and a clique
+    contained in any other is contained in a kept (maximal) one.  So a
+    clique is tested only against the kept cliques, through one mask per
+    task whose bit *i* marks the *i*-th kept clique containing that task:
+    the AND of its members' masks is non-zero exactly when some kept
+    clique contains it.
+    """
+    kept: List[int] = []
+    containing: Dict[int, int] = {}
+    for clique in sorted(cliques, key=popcount, reverse=True):
+        common = -1
+        for task_id in iter_bits(clique):
+            common &= containing.get(task_id, 0)
+            if not common:
+                break
+        if common:
+            continue
+        flag = 1 << len(kept)
+        kept.append(clique)
+        for task_id in iter_bits(clique):
+            containing[task_id] = containing.get(task_id, 0) | flag
+    return kept
 
 
 def _low_bits(mask: int) -> List[int]:

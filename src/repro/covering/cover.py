@@ -44,7 +44,6 @@ from repro.covering.pressure import PressureTracker
 from repro.covering.taskgraph import TaskGraph
 from repro.telemetry.session import current as _telemetry
 from repro.utils.bitset import bits, iter_bits, mask_of, popcount
-from repro.utils.graph import topological_order
 
 
 @dataclass
@@ -103,11 +102,7 @@ def _journal_step(
     selection itself only computes them on a top-size tie — so the entry
     can always say what the tie-break saw (or would have seen).
     """
-    order = _uncovered_order(graph, uncovered)
-
-    def estimate(members: List[int]) -> int:
-        return _lookahead_estimate(graph, uncovered - set(members), order)
-
+    estimate = _Lookahead(graph, uncovered).estimate
     top_keys = {tuple(c) for c in top}
     losers = sorted(
         (c for c in feasible if c != chosen), key=lambda c: (-len(c), c)
@@ -153,50 +148,77 @@ def _build_cliques(
     return legalize_cliques(graph, as_tasks, graph.machine)
 
 
-def _uncovered_order(graph: TaskGraph, uncovered: Set[int]) -> List[int]:
-    """A topological order of the uncovered tasks (consumers first).
+class _Lookahead:
+    """The lookahead estimate of cliques still needed (paper IV-D's
+    tie-break), for every candidate of one decision.
 
-    Computed once per lookahead tie-break and shared by every candidate:
-    the restriction of a valid topological order to any subset is a
-    valid topological order of the induced subgraph, so
-    :func:`_lookahead_estimate` can filter instead of re-sorting."""
-    adjacency = {
-        t: [d for d in graph.tasks[t].dependencies() if d in uncovered]
-        for t in sorted(uncovered)
-    }
-    return topological_order(adjacency)
+    The estimate for a candidate ``c`` is, over ``uncovered - c``, the
+    busiest resource's task count or the longest dependence chain,
+    whichever is larger.  Two tables built once per decision make each
+    candidate O(|c|):
 
+    - the per-resource task counts of the uncovered set, busiest first;
+    - for each uncovered task, the longest chain of uncovered consumers
+      above it (itself included), longest first.
 
-def _lookahead_estimate(
-    graph: TaskGraph,
-    remaining: Set[int],
-    order: Optional[List[int]] = None,
-) -> int:
-    """Lower-bound style estimate of cliques needed for ``remaining``:
-    the busiest resource's task count, or the longest dependence chain,
-    whichever is larger.  ``order`` is an optional precomputed
-    topological order of a superset of ``remaining``."""
-    if not remaining:
-        return 0
-    per_resource: Dict[str, int] = {}
-    for task_id in remaining:
-        resource = graph.tasks[task_id].resource
-        per_resource[resource] = per_resource.get(resource, 0) + 1
-    resource_bound = max(per_resource.values())
-    # Longest dependence chain within the remaining tasks.  Spill/reload
-    # rewiring can make ascending task ids non-topological, so order
-    # properly.
-    if order is None:
-        order = _uncovered_order(graph, remaining)
-    ordered = [t for t in order if t in remaining]
-    depth: Dict[int, int] = {}
-    for task_id in reversed(ordered):
-        best = 0
-        for dependency in graph.tasks[task_id].dependencies():
-            if dependency in remaining:
-                best = max(best, depth[dependency])
-        depth[task_id] = best + 1
-    return max(resource_bound, max(depth.values()))
+    Every candidate member is ready, so it has no uncovered dependency:
+    it can only sit at the bottom of a chain, and removing it shortens
+    no chain above any other task.  The longest chain left is therefore
+    the first table entry whose task is not in ``c``, and the busiest
+    resource left is either one ``c`` touches (recounted) or the first
+    count entry it does not touch — each found within |c| + 1 steps.
+    The empty candidate scores the whole uncovered set.
+    """
+
+    def __init__(self, graph: TaskGraph, uncovered: Set[int]) -> None:
+        self.graph = graph
+        self.counts: Dict[str, int] = {}
+        below: Dict[int, List[int]] = {}
+        #: uncovered consumers of each task whose height is not final yet
+        waiting = {task_id: 0 for task_id in uncovered}
+        for task_id in uncovered:
+            task = graph.tasks[task_id]
+            self.counts[task.resource] = self.counts.get(task.resource, 0) + 1
+            below[task_id] = [
+                d for d in task.dependencies() if d in uncovered
+            ]
+            for dependency in below[task_id]:
+                waiting[dependency] += 1
+        # Top-down: a task's height is final once all its consumers'
+        # are, and then raises each of its dependencies'.
+        height = {task_id: 1 for task_id in uncovered}
+        final = [task_id for task_id, count in waiting.items() if not count]
+        while final:
+            task_id = final.pop()
+            for dependency in below[task_id]:
+                height[dependency] = max(
+                    height[dependency], height[task_id] + 1
+                )
+                waiting[dependency] -= 1
+                if not waiting[dependency]:
+                    final.append(dependency)
+        self.busiest = sorted(self.counts.items(), key=lambda kv: -kv[1])
+        self.tallest = sorted(height.items(), key=lambda kv: -kv[1])
+
+    def estimate(self, members: List[int]) -> int:
+        """Estimate for ``uncovered - members``; every member must be
+        an uncovered task with no uncovered dependency."""
+        removed: Dict[str, int] = {}
+        for task_id in members:
+            resource = self.graph.tasks[task_id].resource
+            removed[resource] = removed.get(resource, 0) + 1
+        bound = max(
+            (self.counts[r] - n for r, n in removed.items()), default=0
+        )
+        for resource, count in self.busiest:
+            if resource not in removed:
+                bound = max(bound, count)
+                break
+        taken = set(members)
+        for task_id, height in self.tallest:
+            if task_id not in taken:
+                return max(bound, height)
+        return bound
 
 
 def _feasible_subset(
@@ -564,13 +586,9 @@ def _cover_loop(
             tie = len(top) > 1 and config.lookahead
             if tie:
                 stats.lookahead_ties += 1
-                order = _uncovered_order(graph, uncovered)
+                estimate = _Lookahead(graph, uncovered).estimate
                 chosen = min(
-                    top,
-                    key=lambda c: (
-                        _lookahead_estimate(graph, uncovered - c, order),
-                        sorted(c),
-                    ),
+                    top, key=lambda c: (estimate(sorted(c)), sorted(c))
                 )
             else:
                 chosen = min(top, key=lambda c: sorted(c))
@@ -650,7 +668,7 @@ class _MaskCliqueCache:
     graph lying entirely in untouched tasks has an identical
     clique/candidate structure in the old graph, so it is already in the
     cached list.  Cliques intersecting the touched set are re-found by
-    the restricted Fig. 8 run (see ``_enumerate_clique_masks``).
+    the restricted enumeration (see ``_enumerate_clique_masks``).
 
     Budget semantics stay exact by construction: the incremental path is
     only trusted when the *total* clique count stays strictly below
@@ -908,18 +926,8 @@ def _cover_loop_masks(
             tie = len(top) > 1 and config.lookahead
             if tie:
                 stats.lookahead_ties += 1
-                order = _uncovered_order(graph, uncovered)
-                chosen = min(
-                    top,
-                    key=lambda c: (
-                        _lookahead_estimate(
-                            graph,
-                            set(iter_bits(uncovered_mask & ~c)),
-                            order,
-                        ),
-                        bits(c),
-                    ),
-                )
+                estimate = _Lookahead(graph, uncovered).estimate
+                chosen = min(top, key=lambda c: (estimate(bits(c)), bits(c)))
             else:
                 chosen = min(top, key=bits)
             chosen_ids = bits(chosen)

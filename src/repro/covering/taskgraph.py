@@ -127,6 +127,10 @@ class TaskGraph:
         self.dag: BlockDAG = sn.dag
         self.assignment = assignment
         self.tasks: Dict[int, Task] = {}
+        #: producer id -> ids of the live tasks reading its delivery.
+        #: Kept current by :meth:`add_task`, :meth:`set_reads` and
+        #: :meth:`remove_task`, the only ways tasks and reads change.
+        self._consumers: Dict[int, Set[int]] = {}
         self._ids = IdAllocator()
         #: (value original id, storage) -> delivering task id; a value may
         #: be re-delivered after a spill, in which case this tracks the
@@ -143,6 +147,40 @@ class TaskGraph:
         #: (set by pinning; None for straight-line blocks).
         self.condition_read: Optional[ReadRef] = None
         self._build(pin_value)
+
+    @classmethod
+    def restore(
+        cls,
+        sn: SplitNodeDAG,
+        assignment: Assignment,
+        tasks: List[Task],
+        next_task_id: int,
+        bus_load: Dict[str, int],
+        pinned: Set[int],
+        condition_read: Optional[ReadRef],
+        spill_count: int,
+        reload_count: int,
+    ) -> "TaskGraph":
+        """A graph rebuilt from saved state (the block cache's decoder)
+        rather than from its assignment."""
+        graph = cls.__new__(cls)
+        graph.sn = sn
+        graph.machine = sn.machine
+        graph.dag = sn.dag
+        graph.assignment = assignment
+        graph.tasks = {}
+        graph._consumers = {}
+        for task in tasks:
+            graph.add_task(task)
+        graph._ids = IdAllocator(next_task_id)
+        graph._delivered = {}
+        graph._bus_load = {b: 0 for b in graph.machine.bus_names()}
+        graph._bus_load.update(bus_load)
+        graph.spill_count = spill_count
+        graph.reload_count = reload_count
+        graph.pinned = set(pinned)
+        graph.condition_read = condition_read
+        return graph
 
     # ------------------------------------------------------------------
     # Construction
@@ -472,8 +510,41 @@ class TaskGraph:
 
     def _new_task(self, **kwargs) -> int:
         task_id = self._ids.allocate()
-        self.tasks[task_id] = Task(task_id=task_id, **kwargs)
+        self.add_task(Task(task_id=task_id, **kwargs))
         return task_id
+
+    # ------------------------------------------------------------------
+    # Mutation (keeps the consumer index current)
+    # ------------------------------------------------------------------
+
+    def add_task(self, task: Task) -> None:
+        """Insert ``task`` under its own id."""
+        self.tasks[task.task_id] = task
+        self._index_reads(task.task_id, task.reads)
+
+    def set_reads(self, task_id: int, reads: Tuple[ReadRef, ...]) -> None:
+        """Replace what ``task_id`` reads."""
+        task = self.tasks[task_id]
+        self._unindex_reads(task_id, task.reads)
+        task.reads = reads
+        self._index_reads(task_id, reads)
+
+    def remove_task(self, task_id: int) -> None:
+        """Delete ``task_id``.  Tasks still reading it keep their reads
+        (and their index entries) until rewired."""
+        self._unindex_reads(task_id, self.tasks.pop(task_id).reads)
+
+    def _index_reads(self, task_id: int, reads: Tuple[ReadRef, ...]) -> None:
+        for read in reads:
+            if read.producer is not None:
+                self._consumers.setdefault(read.producer, set()).add(task_id)
+
+    def _unindex_reads(
+        self, task_id: int, reads: Tuple[ReadRef, ...]
+    ) -> None:
+        for read in reads:
+            if read.producer is not None:
+                self._consumers[read.producer].discard(task_id)
 
     # ------------------------------------------------------------------
     # Queries
@@ -507,12 +578,8 @@ class TaskGraph:
         }
 
     def consumers_of(self, task_id: int) -> List[int]:
-        """Tasks that read the delivery made by ``task_id``."""
-        result = []
-        for other_id in self.task_ids():
-            if any(r.producer == task_id for r in self.tasks[other_id].reads):
-                result.append(other_id)
-        return result
+        """Tasks that read the delivery made by ``task_id``, ascending."""
+        return sorted(self._consumers.get(task_id, ()))
 
     def deliveries_into(self, storage: str) -> List[int]:
         """Tasks that write a value into ``storage``."""
@@ -635,9 +702,12 @@ class TaskGraph:
             consumer = self.tasks[consumer_id]
             if consumer.kind is TaskKind.OP:
                 replacement = reload_into(consumer.dest_storage)
-                consumer.reads = tuple(
-                    replacement if r.producer == delivery_id else r
-                    for r in consumer.reads
+                self.set_reads(
+                    consumer_id,
+                    tuple(
+                        replacement if r.producer == delivery_id else r
+                        for r in consumer.reads
+                    ),
                 )
                 continue
             # A pending transfer reading the spilled value out of the
@@ -647,27 +717,46 @@ class TaskGraph:
             if destination == dm:
                 # Store or earlier spill: rewrite to copy straight from
                 # the spill slot in memory.
-                consumer.reads = (memory_read,)
+                self.set_reads(consumer_id, (memory_read,))
                 consumer.source_storage = dm
                 consumer.bus = self._dm_bus()
                 consumer.resource = consumer.bus
                 continue
             replacement = reload_into(destination)
             for downstream_id in self.consumers_of(consumer_id):
-                downstream = self.tasks[downstream_id]
-                downstream.reads = tuple(
-                    replacement if r.producer == consumer_id else r
-                    for r in downstream.reads
+                self.set_reads(
+                    downstream_id,
+                    tuple(
+                        replacement if r.producer == consumer_id else r
+                        for r in self.tasks[downstream_id].reads
+                    ),
                 )
             self._bus_load[consumer.bus] -= 1
-            del self.tasks[consumer_id]
+            self.remove_task(consumer_id)
         return spill_id, [i for i in new_ids if i in self.tasks]
 
     def validate(self) -> None:
-        """Structural invariants: reads reference live tasks, register
-        deliveries have consumers or are pinned, dependencies acyclic."""
+        """Structural invariants: the consumer index matches the reads,
+        reads reference live tasks, register deliveries have consumers
+        or are pinned, dependencies acyclic."""
         from repro.utils.graph import topological_order
 
+        scanned: Dict[int, Set[int]] = {}
+        for task_id, task in self.tasks.items():
+            for read in task.reads:
+                if read.producer is not None:
+                    scanned.setdefault(read.producer, set()).add(task_id)
+        indexed = {p: c for p, c in self._consumers.items() if c}
+        if indexed != scanned:
+            stale = sorted(
+                p
+                for p in set(indexed) | set(scanned)
+                if indexed.get(p) != scanned.get(p)
+            )
+            raise CoverageError(
+                "consumer index out of date (tasks or reads changed "
+                f"outside TaskGraph's mutators) for producers {stale}"
+            )
         for task in self.tasks.values():
             for read in task.reads:
                 if read.producer is not None and read.producer not in self.tasks:

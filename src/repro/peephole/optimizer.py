@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Set
 
 from repro.covering.cliques import is_legal_instruction
 from repro.covering.solution import BlockSolution
-from repro.covering.taskgraph import TaskKind
+from repro.covering.taskgraph import ReadRef
 from repro.regalloc.liveness import compute_live_ranges, pressure_profile
 from repro.telemetry.session import current as _telemetry
 
@@ -168,24 +168,22 @@ def _remove_group(solution: BlockSolution, group: _SpillGroup) -> int:
         removed.update(chain)
     original = group.original_delivery
     bank = group.bank
-    replacement_read = None
     for chain in group.reload_chains:
         delivery = chain[-1]
         for consumer_id in graph.consumers_of(delivery):
             if consumer_id in removed:
                 continue
-            consumer = graph.tasks[consumer_id]
-            new_reads = []
-            for read in consumer.reads:
-                if read.producer == delivery:
-                    from repro.covering.taskgraph import ReadRef
-
-                    new_reads.append(ReadRef(original, bank, read.value))
-                else:
-                    new_reads.append(read)
-            consumer.reads = tuple(new_reads)
+            graph.set_reads(
+                consumer_id,
+                tuple(
+                    ReadRef(original, bank, read.value)
+                    if read.producer == delivery
+                    else read
+                    for read in graph.tasks[consumer_id].reads
+                ),
+            )
     for task_id in removed:
-        del graph.tasks[task_id]
+        graph.remove_task(task_id)
     solution.schedule = [
         [t for t in members if t not in removed]
         for members in solution.schedule

@@ -41,7 +41,6 @@ from repro.ir.dag import BlockDAG
 from repro.isdl.model import Machine
 from repro.sndag.build import build_split_node_dag
 from repro.sndag.nodes import Alternative
-from repro.utils.ids import IdAllocator
 
 #: Payload format stamp; entries carrying any other value are rejected.
 CODEC_FORMAT = "repro/block-solution/v1"
@@ -211,28 +210,23 @@ def _decode(
     )
 
     graph_data = data["graph"]
-    graph = TaskGraph.__new__(TaskGraph)
-    graph.sn = sn
-    graph.machine = machine
-    graph.dag = dag
-    graph.assignment = assignment
-    graph.tasks = {}
-    for task_data in graph_data["tasks"]:
-        task = _task_from_dict(task_data)
-        graph.tasks[task.task_id] = task
-    graph._ids = IdAllocator(int(graph_data["next_task_id"]))
-    graph._delivered = {}
-    bus_load = {name: 0 for name in machine.bus_names()}
-    for name, load in graph_data["bus_load"].items():
-        bus_load[str(name)] = int(load)
-    graph._bus_load = bus_load
-    graph.pinned = {int(t) for t in graph_data["pinned"]}
     condition_read: Optional[ReadRef] = None
     if graph_data["condition_read"] is not None:
         condition_read = _read_from_list(graph_data["condition_read"])
-    graph.condition_read = condition_read
-    graph.spill_count = int(graph_data["spill_count"])
-    graph.reload_count = int(graph_data["reload_count"])
+    graph = TaskGraph.restore(
+        sn,
+        assignment,
+        tasks=[_task_from_dict(t) for t in graph_data["tasks"]],
+        next_task_id=int(graph_data["next_task_id"]),
+        bus_load={
+            str(name): int(load)
+            for name, load in graph_data["bus_load"].items()
+        },
+        pinned={int(t) for t in graph_data["pinned"]},
+        condition_read=condition_read,
+        spill_count=int(graph_data["spill_count"]),
+        reload_count=int(graph_data["reload_count"]),
+    )
 
     solution = BlockSolution(
         machine_name=str(data["machine_name"]),

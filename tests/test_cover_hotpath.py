@@ -14,9 +14,11 @@ visited-memo cap, stall-NOP/bound interaction, empty-NOP round-trips).
 from __future__ import annotations
 
 import dataclasses
+import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.covering import (
     CodeGenerator,
@@ -30,7 +32,7 @@ import repro.covering.cliques as cliques_module
 import repro.covering.cover as cover_module
 from repro.covering.engine import machine_fingerprint
 from repro.covering.parallelism import parallelism_masks, parallelism_matrix
-from repro.errors import CoverageError
+from repro.errors import CoverageError, ReproError
 from repro.eval.workloads import WORKLOADS
 from repro.ir import BlockDAG, Opcode
 from repro.isdl import (
@@ -40,7 +42,7 @@ from repro.isdl import (
 )
 from repro.sndag import build_split_node_dag
 from repro.telemetry import TelemetrySession, use_session
-from repro.utils.bitset import bits
+from repro.utils.bitset import bits, mask_of
 
 from conftest import build_fig2_dag, build_wide_dag, solve_both_kernels
 
@@ -490,3 +492,301 @@ class TestEmptyNopRoundTrips:
         env = {"a": 2, "b": 3, "c": 7}
         result = run_program(compiled.program, machine, env)
         assert result.variables["p"] == 42
+
+
+# ----------------------------------------------------------------------
+# The near-linear rewrites against their brute-force definitions
+# ----------------------------------------------------------------------
+
+
+@st.composite
+def _bitmask_graphs(draw):
+    """Parallelism rows over 1–24 sparse task ids, any edge density."""
+    ids = draw(
+        st.lists(st.integers(0, 47), min_size=1, max_size=24, unique=True)
+    )
+    density = draw(st.floats(0.0, 1.0))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    rows = {node: 0 for node in ids}
+    for position, a in enumerate(ids):
+        for b in ids[position + 1 :]:
+            if rng.random() < density:
+                rows[a] |= 1 << b
+                rows[b] |= 1 << a
+    restrict = 0
+    if draw(st.booleans()):
+        restrict = mask_of(draw(st.lists(st.sampled_from(ids), max_size=6)))
+    budget = draw(st.one_of(st.none(), st.integers(0, 24)))
+    return rows, budget, restrict
+
+
+def _recount(graph, remaining):
+    """The lookahead estimate from scratch: busiest resource or longest
+    dependence chain over ``remaining``."""
+    if not remaining:
+        return 0
+    per_resource = {}
+    for task_id in remaining:
+        resource = graph.tasks[task_id].resource
+        per_resource[resource] = per_resource.get(resource, 0) + 1
+    depth = {}
+
+    def chain(task_id):
+        if task_id not in depth:
+            depth[task_id] = 1 + max(
+                (
+                    chain(d)
+                    for d in graph.tasks[task_id].dependencies()
+                    if d in remaining
+                ),
+                default=0,
+            )
+        return depth[task_id]
+
+    return max(max(per_resource.values()), max(map(chain, remaining)))
+
+
+class TestNearLinearRewrites:
+    """Pivoting enumeration returns exactly what the Fig. 8 recursion
+    returns — budget trips and the cliques a trip keeps included — and
+    the largest-first subsumption filter equals the pairwise one."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_bitmask_graphs())
+    def test_enumeration_equals_fig8(self, graph):
+        rows, budget, restrict = graph
+        found, tripped, stats = cliques_module._enumerate_clique_masks(
+            rows, budget, restrict
+        )
+        fig8_found, fig8_tripped, fig8_stats = (
+            cliques_module._fig8_clique_masks(rows, budget, restrict)
+        )
+        assert (found, tripped) == (fig8_found, fig8_tripped)
+        if stats[2]:
+            assert stats[:2] == fig8_stats
+        else:
+            # The pivoting pass only answers where Fig. 8 cannot trip.
+            assert stats == [0, 0, 0]
+            assert budget is None or len(found) < budget
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sets(st.integers(1, (1 << 12) - 1), max_size=60)
+    )
+    def test_subsumption_filter_equals_pairwise(self, cliques):
+        pairwise = [
+            c
+            for c in cliques
+            if not any(c != other and c & ~other == 0 for other in cliques)
+        ]
+        assert sorted(cliques_module._drop_subsumed(cliques)) == sorted(
+            pairwise
+        )
+
+    @pytest.mark.parametrize("registers", [2, 4])
+    @pytest.mark.parametrize("load", WORKLOADS, ids=lambda load: load.name)
+    def test_lookahead_equals_full_recount(self, load, registers):
+        # Random covering states (a dependence-closed covered set) and
+        # random candidates among the ready tasks: the O(|c|) estimate
+        # equals recounting ``uncovered - c`` from scratch.
+        graph = _graph_for(load.build(), example_architecture(registers))
+        rng = random.Random(registers)
+        for _ in range(40):
+            covered = set()
+            for _ in range(rng.randrange(len(graph.tasks))):
+                ready = [
+                    t
+                    for t in graph.task_ids()
+                    if t not in covered
+                    and all(d in covered for d in graph.tasks[t].dependencies())
+                ]
+                covered.add(rng.choice(ready))
+            uncovered = set(graph.task_ids()) - covered
+            ready = sorted(
+                t
+                for t in uncovered
+                if not set(graph.tasks[t].dependencies()) & uncovered
+            )
+            estimate = cover_module._Lookahead(graph, uncovered).estimate
+            for size in range(len(ready) + 1):
+                members = sorted(rng.sample(ready, size))
+                assert estimate(members) == _recount(
+                    graph, uncovered - set(members)
+                )
+
+    def test_budget_regime_is_exercised(self):
+        # A dense 10-node graph has more maximal cliques than a budget
+        # of 3, so Fig. 8 must take over (and trips).
+        rows = {
+            node: ((1 << 10) - 1) & ~(1 << node) & ~(1 << (node ^ 1))
+            for node in range(10)
+        }
+        found, tripped, stats = cliques_module._enumerate_clique_masks(
+            rows, 3
+        )
+        assert tripped and stats[2] == 1
+        assert found == cliques_module._fig8_clique_masks(rows, 3)[0]
+
+
+# ----------------------------------------------------------------------
+# The TaskGraph consumer index
+# ----------------------------------------------------------------------
+
+
+def _scan_consumers(graph, task_id):
+    return [
+        other
+        for other in graph.task_ids()
+        if any(r.producer == task_id for r in graph.tasks[other].reads)
+    ]
+
+
+class TestConsumerIndex:
+    """``TaskGraph`` keeps a producer→consumers index through its own
+    mutators; ``validate()`` compares it with a full scan."""
+
+    def _check(self, graph):
+        graph.validate()
+        for task_id in graph.task_ids():
+            assert graph.consumers_of(task_id) == _scan_consumers(
+                graph, task_id
+            )
+
+    def _spilled_solutions(self, source, machine):
+        from repro.asmgen import compile_function
+        from repro.frontend import compile_source
+
+        compiled = compile_function(
+            compile_source(source), machine, peephole=False
+        )
+        solutions = [block.solution for block in compiled.blocks.values()]
+        assert sum(s.spill_count for s in solutions) > 0
+        return solutions
+
+    def test_fir4_on_arch1_after_spills_and_peephole(self):
+        from repro.peephole import peephole_optimize
+
+        source = (Path(__file__).parent.parent / "examples" / "fir4.minic")
+        for solution in self._spilled_solutions(
+            source.read_text(), example_architecture(4)
+        ):
+            self._check(solution.graph)
+            peephole_optimize(solution)
+            self._check(solution.graph)
+
+    def test_ex5_on_two_registers_after_spills_and_peephole(self):
+        from repro.eval.workloads import workload
+        from repro.peephole import peephole_optimize
+
+        solution = generate_block_solution(
+            workload("Ex5").build(), example_architecture(2)
+        )
+        assert solution.spill_count > 0
+        self._check(solution.graph)
+        peephole_optimize(solution)
+        self._check(solution.graph)
+
+    def test_bypassing_the_mutators_fails_validation(self):
+        graph = _graph_for(build_fig2_dag(), example_architecture(4))
+        reader = next(
+            t
+            for t in graph.task_ids()
+            if any(r.producer is not None for r in graph.tasks[t].reads)
+        )
+        graph.tasks[reader].reads = ()
+        with pytest.raises(CoverageError, match="consumer index"):
+            graph.validate()
+
+
+# ----------------------------------------------------------------------
+# Assignment exploration's per-unit root lists
+# ----------------------------------------------------------------------
+
+
+def _full_scan_roots(partial, unit):
+    """The same-unit roots the cost model used to find by scanning
+    every op of ``partial.choice``."""
+    return sorted(
+        other_id
+        for other_id, other_alt in partial.choice.items()
+        if other_alt.unit == unit and other_alt.covers[0] == other_id
+    )
+
+
+def _full_scan_cost(model, partial, op_id, alternative):
+    """``incremental_cost`` as it was before the root lists: the
+    parallelism and register terms from a scan of ``partial.choice``."""
+    from repro.ir.ops import Opcode as Op, is_leaf
+
+    machine = model.machine
+    rf = machine.unit(alternative.unit).register_file
+    covered = set(alternative.covers)
+    root = alternative.covers[0]
+    cost = 0
+    for consumer_id in model.consumers.get(root, ()):
+        if model.dag.node(consumer_id).opcode is Op.STORE:
+            cost += model.distance(rf, machine.data_memory)
+            continue
+        chosen = partial.choice.get(consumer_id)
+        if chosen is None or consumer_id in covered:
+            continue
+        cost += model.distance(rf, machine.unit(chosen.unit).register_file)
+    for operand_id in model._operands_of(op_id, alternative):
+        if is_leaf(model.dag.node(operand_id).opcode):
+            cost += model.distance(machine.data_memory, rf)
+    overlapping = 1
+    for other_id, other_alt in partial.choice.items():
+        if other_id in partial.absorbed or other_alt.unit != alternative.unit:
+            continue
+        if other_alt.covers[0] != other_id:
+            continue
+        if model.independent(other_id, root):
+            overlapping += 1
+            if other_id not in covered:
+                cost += 1
+    if model.config.register_aware_assignment:
+        excess = overlapping - machine.rf_of_unit(alternative.unit).size
+        if excess > 0:
+            cost += excess * model.config.spill_penalty
+    return cost
+
+
+@pytest.mark.corpus
+def test_assignment_costs_match_full_scan_on_corpus(monkeypatch):
+    """Every incremental cost explored on the frozen corpus — with and
+    without the register-aware penalty — equals the old full scan, and
+    every partial's root lists equal the scan's same-unit roots."""
+    from repro.covering.assignment import _CostModel
+    from repro.frontend import compile_source
+    from repro.fuzz import load_case
+
+    original = _CostModel.incremental_cost
+    calls = []
+
+    def checked(model, partial, op_id, alternative):
+        cost = original(model, partial, op_id, alternative)
+        for unit, roots in partial.roots.items():
+            assert sorted(roots) == _full_scan_roots(partial, unit)
+        assert cost == _full_scan_cost(model, partial, op_id, alternative)
+        calls.append(cost)
+        return cost
+
+    monkeypatch.setattr(_CostModel, "incremental_cost", checked)
+    for path in CORPUS_FILES:
+        case = load_case(path)
+        try:
+            function = compile_source(case.source)
+        except ReproError:
+            continue
+        base = case.heuristic_config()
+        for register_aware in (False, True):
+            config = base.with_(register_aware_assignment=register_aware)
+            for block in function:
+                try:
+                    explore_assignments(
+                        build_split_node_dag(block.dag, case.machine),
+                        config,
+                    )
+                except ReproError:
+                    continue
+    assert len(calls) > 1000

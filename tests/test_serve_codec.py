@@ -81,6 +81,15 @@ class TestRoundTrip:
         assert solution.spill_count > 0
         assert_identical(solution, decoded)
 
+    def test_consumer_index_survives_round_trip(self, arch1_small):
+        solution, decoded = roundtrip(build_wide_dag(4), arch1_small)
+        assert solution.spill_count > 0
+        decoded.graph.validate()  # index == full scan of the reads
+        for task_id in solution.graph.task_ids():
+            assert decoded.graph.consumers_of(
+                task_id
+            ) == solution.graph.consumers_of(task_id)
+
     def test_pinned_block(self, arch_cf):
         from repro.ir import BlockDAG, Opcode
 
