@@ -1,17 +1,17 @@
-"""Covering hot-path kernel comparison — ``BENCH_cover.json``.
+"""Covering hot-path ledger — ``BENCH_cover.json``.
 
 Compiles the clique-heavy workloads (sum-of-products and wide
 reductions with the level window off, where clique enumeration and
-covering dominate exactly as the paper predicts) under both covering
-kernels and writes ``benchmarks/results/BENCH_cover.json`` (schema
-``repro/bench-cover/v1``): per-workload wall clock for the bitmask and
-reference kernels, the speedup, and the schedule-identity verdict.
+covering dominate exactly as the paper predicts) and writes
+``benchmarks/results/BENCH_cover.json`` (schema
+``repro/bench-cover/v1``): per-workload wall clock, result metrics and
+covering counters.
 
-Gate: the two kernels must produce bit-identical schedules everywhere,
-every heavy (clique-bound) workload must show a real speedup, and the
-headline clique-heavy workload must clear 2x.  CI regenerates and
-schema-validates the file on every push, so a regression in the bitmask
-kernel's speed or fidelity shows up in the artifact diff.
+Gate: every workload exercises the clique and covering hot paths, and
+the spill workload exercises the incremental clique rebuild.  Schedule
+identity with the reference oracle is a tier-1 test
+(``tests/test_cover_hotpath.py``).  CI regenerates and schema-validates
+the file on every push.
 """
 
 from __future__ import annotations
@@ -39,40 +39,24 @@ def test_bench_cover_hotpath(benchmark, results_dir):
     payload = json.loads(path.read_text())
     validate_cover_report(payload)  # round-trips schema-valid
 
-    lines = [
-        "workload       heavy  bitmask ms  reference ms  speedup  identical"
-    ]
+    lines = ["workload       heavy  wall ms  instructions  spills"]
     for entry in entries:
         lines.append(
             f"{entry['workload']:13s}  {str(entry['heavy']):5s}"
-            f"  {1000 * entry['bitmask_s']:10.1f}"
-            f"  {1000 * entry['reference_s']:12.1f}"
-            f"  {entry['speedup']:6.2f}x"
-            f"  {entry['identical']}"
+            f"  {1000 * entry['wall_s']:7.1f}"
+            f"  {entry['metrics']['instructions']:12d}"
+            f"  {entry['metrics']['spills']:6d}"
         )
     write_result("cover_hotpath.txt", "\n".join(lines))
 
-    # Fidelity: bit-identical schedules on every workload, both kernels
-    # actually exercised their hot paths.
+    # Every workload actually exercised the hot paths.
     for entry in entries:
-        assert entry["identical"], entry["workload"]
         assert entry["counters"]["cliques.mask_kernel_calls"] > 0, (
             entry["workload"]
         )
         assert entry["counters"]["cover.iterations"] > 0, entry["workload"]
-
-    # Speed: every clique-bound workload wins clearly, and the headline
-    # clique-heavy result clears the 2x bar.
-    heavy = [entry for entry in entries if entry["heavy"]]
-    assert heavy, "no clique-bound workloads in the bench table"
-    for entry in heavy:
-        assert entry["speedup"] >= 1.5, (
-            f"{entry['workload']}: bitmask kernel only "
-            f"{entry['speedup']:.2f}x over reference"
-        )
-    best = max(entry["speedup"] for entry in heavy)
-    assert best >= 2.0, (
-        f"best clique-heavy speedup {best:.2f}x is below the 2x bar"
+    assert any(entry["heavy"] for entry in entries), (
+        "no clique-bound workloads in the bench table"
     )
 
     # The spill workload must actually spill — that is what exercises
@@ -84,13 +68,11 @@ def test_bench_cover_hotpath(benchmark, results_dir):
 
 def test_bench_cover_report_shape(benchmark):
     """A single-workload collection round-trips the schema and records
-    both kernels' timings."""
+    its timing."""
     entries = benchmark.pedantic(
         lambda: collect_cover_bench(["sop8-nowin"]), rounds=1, iterations=1
     )
     assert len(entries) == 1
     payload = make_cover_report(entries)
     validate_cover_report(payload)
-    entry = entries[0]
-    assert entry["bitmask_s"] > 0 and entry["reference_s"] > 0
-    assert entry["identical"] is True
+    assert entries[0]["wall_s"] > 0

@@ -69,11 +69,12 @@ def test_bench_fig4_split_node_dag(benchmark):
     text += f"assignment space: {sn.assignment_space_size()} (paper: 2 x 2 x 3 = 12)\n"
     text += (
         "paper's Split-Node DAG had 30 nodes for the 8-node Ex1 block; "
-        f"this block yields {stats['total']} nodes (same growth shape)\n"
+        f"this block yields {sn.paper_node_count()} nodes with the eager "
+        "transfer expansion (same growth shape)\n"
     )
     write_result("fig4_split_node_dag.txt", text)
     write_result("fig4_split_node_dag.dot", split_node_dag_to_dot(sn, "fig4"))
     assert sn.assignment_space_size() == 12
     assert stats["split_nodes"] == 4  # 3 ops + 1 store
     assert stats["alternative_nodes"] == 7  # 3 ADD + 2 SUB + 2 MUL
-    assert stats["total"] >= 3 * dag.stats()["paper_nodes"]
+    assert sn.paper_node_count() >= 3 * dag.stats()["paper_nodes"]

@@ -1,4 +1,4 @@
-"""Figures 7 and 8 — the pairwise-parallelism matrix and maximal-clique
+"""Figures 7 and 8 — the pairwise-parallelism relation and maximal-clique
 generation.
 
 Fig. 7's matrix is reproduced verbatim from the paper and Fig. 8's
@@ -11,19 +11,19 @@ count).
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.covering import (
     HeuristicConfig,
     TaskGraph,
     explore_assignments,
-    generate_maximal_cliques,
-    parallelism_matrix,
+    generate_maximal_clique_masks,
+    parallelism_masks,
 )
 from repro.eval import workload
 from repro.isdl import example_architecture
 from repro.sndag import build_split_node_dag
+from repro.utils.bitset import bits, mask_of
 
 from conftest import write_result
 
@@ -38,11 +38,16 @@ FIG7_NAMES = ["N2", "N9", "N10", "N14"]
 
 
 def test_bench_fig7_fig8_paper_example(benchmark):
-    matrix = np.array(FIG7_MATRIX, dtype=np.uint8)
-    np.fill_diagonal(matrix, 1)  # a node never merges with itself
-    cliques = benchmark(generate_maximal_cliques, matrix)
+    # One bitmask row per node: the nodes it is parallel with (0 in the
+    # matrix), itself excluded — a node never merges with itself.
+    rows = {
+        i: mask_of(j for j, cell in enumerate(row) if cell == 0 and j != i)
+        for i, row in enumerate(FIG7_MATRIX)
+    }
+    cliques = benchmark(generate_maximal_clique_masks, rows)
     as_names = sorted(
-        tuple(sorted(FIG7_NAMES[i] for i in clique)) for clique in cliques
+        tuple(sorted(FIG7_NAMES[i] for i in bits(clique)))
+        for clique in cliques
     )
     lines = ["Fig. 7 matrix (0 = parallel):"]
     header = "      " + "  ".join(f"{n:>3s}" for n in FIG7_NAMES)
@@ -70,16 +75,19 @@ def test_bench_fig8_on_real_task_graphs(benchmark, level_window):
     sn = build_split_node_dag(dag, machine)
     assignment = explore_assignments(sn, HeuristicConfig.default())[0]
     graph = TaskGraph(sn, assignment)
-    matrix, _ = parallelism_matrix(graph, level_window=level_window)
+    rows = parallelism_masks(graph, level_window=level_window)
 
-    cliques = benchmark(generate_maximal_cliques, matrix)
-    loose_matrix, _ = parallelism_matrix(graph, level_window=None)
-    loose = generate_maximal_cliques(loose_matrix)
+    cliques = benchmark(generate_maximal_clique_masks, rows)
+    loose = generate_maximal_clique_masks(
+        parallelism_masks(graph, level_window=None)
+    )
     write_result(
         f"fig8_real_cliques_{level_window}.txt",
         f"Ex5 task graph: {len(graph)} tasks, level_window={level_window}: "
         f"{len(cliques)} maximal cliques (no window: {len(loose)})",
     )
     assert len(cliques) <= len(loose)
-    covered = set().union(*cliques) if cliques else set()
-    assert covered == set(range(matrix.shape[0]))
+    covered = 0
+    for clique in cliques:
+        covered |= clique
+    assert covered == mask_of(graph.task_ids())

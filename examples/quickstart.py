@@ -34,7 +34,7 @@ def main() -> None:
     block = next(iter(function))
     sn = build_split_node_dag(block.dag, machine)
     print(f"original DAG: {block.dag.stats()['paper_nodes']} nodes")
-    print(f"Split-Node DAG: {sn.stats()['total']} nodes "
+    print(f"Split-Node DAG: {sn.paper_node_count()} nodes "
           f"({sn.assignment_space_size()} possible assignments)")
     print()
 

@@ -29,12 +29,18 @@ from typing import Dict, FrozenSet, List, Optional, Set
 
 from repro.ir.dag import BlockDAG
 from repro.isdl.model import Machine
+from repro.covering.cliques import (
+    generate_maximal_clique_masks,
+    legalize_clique_masks,
+)
 from repro.covering.config import HeuristicConfig
-from repro.covering.cover import _build_cliques, _Lookahead
+from repro.covering.cover import _Lookahead
+from repro.covering.parallelism import parallelism_masks
 from repro.covering.engine import generate_block_solution
 from repro.covering.taskgraph import TaskGraph
 from repro.covering.assignment import explore_assignments
 from repro.sndag.build import build_split_node_dag
+from repro.utils.bitset import iter_bits
 from repro.utils.timing import Stopwatch
 
 
@@ -135,7 +141,17 @@ def optimal_block_cost(
             if not all_tasks:
                 best = 0
                 continue
-            cliques = _build_cliques(graph, sorted(all_tasks), config)
+            rows = parallelism_masks(
+                graph, sorted(all_tasks), level_window=config.level_window
+            )
+            cliques = [
+                frozenset(iter_bits(mask))
+                for mask in legalize_clique_masks(
+                    graph,
+                    generate_maximal_clique_masks(rows, config.max_cliques),
+                    graph.machine,
+                )
+            ]
             consumers = {
                 t: graph.consumers_of(t) for t in graph.task_ids()
             }

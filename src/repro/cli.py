@@ -34,38 +34,33 @@ Commands
     Execute an object file on the simulator.
 ``tables [--table {1,2,both}] [--heuristics-off] [--no-optimal]``
     Regenerate the paper's Table I / Table II.
-``gap [--workload NAME ...] [--kernel {bitmask,reference,both}]
-[--budget N] [--json FILE]``
+``gap [--workload NAME ...] [--budget N] [--json FILE]``
     Measure the heuristic-vs-optimal gap over the paper workloads: the
     constraint solver (:mod:`repro.optimal`) re-solves every block to
     proven minimality and the table compares the heuristic engine's
-    block lengths against it, per clique kernel.  ``--json`` writes
+    block lengths against it.  ``--json`` writes
     the versioned `repro/bench-optimal/v1` report
     (``BENCH_optimal.json``); exit 1 when any solve exhausted its
     conflict budget (the gap is then only an upper bound).
 ``fuzz [--seed N] [--iterations N] [--time-budget S] [--artifacts DIR]
-[--clique-kernel {bitmask,reference}] [--sndag-mode {lazy,eager}]
 [--optimal-oracle]``
     Differential fuzzing: random (program, machine, config) triples
     compiled end to end, the simulator checked against the IR
     interpreter, failures minimized and written as reproducer files.
-    ``--clique-kernel`` forces every case's covering kernel (the
-    bitmask-vs-reference equivalence guard); ``--sndag-mode`` forces
-    the transfer-materialization mode (the lazy-vs-eager equivalence
-    guard); ``--optimal-oracle`` additionally solves every correct
-    case's blocks to optimality and reports heuristic gaps as the
+    ``--optimal-oracle`` additionally solves every correct case's
+    blocks to optimality and reports heuristic gaps as the
     (non-failing) ``optimality`` outcome.
 ``fuzz --replay FILE``
     Re-run one reproducer JSON file and report the outcome.
-``verify SOURCE --machine SPEC [...] [--machines-dir DIR]
-[--kernel {bitmask,reference,both}] [--json] [--quiet]``
+``verify SOURCE --machine SPEC [...] [--machines-dir DIR] [--json]
+[--quiet]``
     Compile and certify a program with the independent translation
     validator (:mod:`repro.verify`): every paper invariant of every
     block is re-checked and violations are reported by kind.  Multiple
     ``--machine`` specs and ``--machines-dir`` fan one source out over
     many targets; machines that genuinely cannot cover the program are
     reported as skipped, not violations.
-``verify --corpus DIR [--kernel ...]``
+``verify --corpus DIR``
     Certify every fuzz reproducer in ``DIR`` on its own recorded
     machine and config.
 ``batch [SOURCE ...] [--machine SPEC ...] [--machines-dir DIR]
@@ -114,8 +109,8 @@ Commands
     ``--budget N`` the frontier's small gapped blocks are re-solved by
     the optimal backend to label heuristic slack vs intrinsic gap.  For
     a fixed seed the artifact is byte-identical for any worker count.
-``explain SOURCE --machine SPEC [--kernel {bitmask,reference}] [--json]
-[--html FILE] [--full] [--diff SPEC] [--diff-kernel K]``
+``explain SOURCE --machine SPEC [--json] [--html FILE] [--full]
+[--diff SPEC]``
     Compile under a decision journal and report *why* the covering
     search chose each schedule: per-block covering steps with the
     losing cliques and lookahead estimates, beam prunes, transfer-path
@@ -123,9 +118,8 @@ Commands
     (achieved length vs. lower bounds, utilization, overheads).
     ``--json`` emits the versioned `repro/explain/v1` report;
     ``--html`` writes a self-contained timeline page; ``--diff``
-    re-runs on a second machine (and/or ``--diff-kernel``) and shows
-    the first decision where the two searches part ways (exit 1 on
-    divergence).
+    re-runs on a second machine and shows the first decision where the
+    two searches part ways (exit 1 on divergence).
 
 Machines are named either by a built-in key (``arch1``, ``arch2``,
 ``fig6``, ``dualbus``, ``mac``, ``single``, ``cf``, ``pipe``) with an
@@ -474,15 +468,8 @@ def _cmd_gap(args) -> int:
                 f"choose from {sorted(known)}"
             )
         table = [row for row in table if row[0] in wanted]
-    kernels = (
-        ("bitmask", "reference")
-        if args.kernel == "both"
-        else (args.kernel,)
-    )
     entries = collect_optimal_bench(
-        workloads=table,
-        kernels=kernels,
-        conflict_budget=args.budget,
+        workloads=table, conflict_budget=args.budget
     )
     print(format_gap_table(entries))
     if args.json:
@@ -516,12 +503,6 @@ def _cmd_fuzz(args) -> int:
                 file=sys.stderr,
             )
 
-    config_override = None
-    if args.clique_kernel:
-        config_override = {"clique_kernel": args.clique_kernel}
-    if args.sndag_mode:
-        config_override = dict(config_override or {})
-        config_override["sndag_mode"] = args.sndag_mode
     stats = run_campaign(
         seed=args.seed,
         iterations=args.iterations,
@@ -530,7 +511,6 @@ def _cmd_fuzz(args) -> int:
         shrink=not args.no_shrink,
         max_shrink_evaluations=args.shrink_budget,
         progress=progress,
-        config_override=config_override,
         cache_dir=args.cache_dir,
         optimal_oracle=args.optimal_oracle,
         optimal_budget=args.optimal_budget,
@@ -541,7 +521,7 @@ def _cmd_fuzz(args) -> int:
 
 def _verify_targets(args) -> List[tuple]:
     """Expand the verify CLI's arguments into (label, source, machine,
-    base config) tuples."""
+    config) tuples."""
     from pathlib import Path
 
     from repro.covering.config import HeuristicConfig
@@ -596,88 +576,76 @@ def _cmd_verify(args) -> int:
     from repro.errors import CoverageError
     from repro.verify import verify_function
 
-    kernels = (
-        ["bitmask", "reference"] if args.kernel == "both" else [args.kernel]
-    )
     results = []
     certified = skipped = total_violations = 0
-    for label, source, machine, base_config in _verify_targets(args):
-        for kernel in kernels:
-            config = base_config.with_(clique_kernel=kernel)
-            entry = {
-                "target": label,
-                "machine": machine.name,
-                "kernel": kernel,
-            }
-            explain = None
-            try:
-                function = compile_source(source)
-                if args.json:
-                    # Journal the compile so each violation can link to
-                    # the decision that produced the offending cycle.
-                    from repro.explain import (
-                        build_explain_report,
-                        compile_with_journal,
-                    )
-
-                    journal, compiled, error = compile_with_journal(
-                        function, machine, config
-                    )
-                    if error is not None:
-                        raise error
-                    explain = build_explain_report(journal, compiled)
-                else:
-                    compiled = compile_function(function, machine, config)
-            except CoverageError as error:
-                # The documented contract, not a bug: this machine
-                # genuinely cannot implement the program.
-                skipped += 1
-                entry["status"] = "skipped"
-                entry["reason"] = str(error)
-                results.append(entry)
-                if not args.json and not args.quiet:
-                    print(f"SKIP {label} [{kernel}]: {str(error)[:100]}")
-                continue
-            reports = verify_function(compiled)
-            checks = sum(r.checks for r in reports)
-            violations = sum(len(r.violations) for r in reports)
-            total_violations += violations
-            certified += violations == 0
-            entry["status"] = "ok" if violations == 0 else "violations"
-            entry["checks"] = checks
-            blocks_json = []
-            for report in reports:
-                summary = report.summary()
-                if explain is not None:
-                    from repro.explain import find_decision
-
-                    for violation, record in zip(
-                        report.violations, summary["violations"]
-                    ):
-                        record["decision"] = find_decision(
-                            explain,
-                            report.block,
-                            task=violation.task,
-                            cycle=violation.cycle,
-                        )
-                blocks_json.append(summary)
-            entry["blocks"] = blocks_json
-            results.append(entry)
+    for label, source, machine, config in _verify_targets(args):
+        entry = {"target": label, "machine": machine.name}
+        explain = None
+        try:
+            function = compile_source(source)
             if args.json:
-                continue
-            if violations == 0:
-                if not args.quiet:
-                    print(
-                        f"OK   {label} [{kernel}]: {len(reports)} "
-                        f"block(s), {checks} checks"
-                    )
+                # Journal the compile so each violation can link to the
+                # decision that produced the offending cycle.
+                from repro.explain import (
+                    build_explain_report,
+                    compile_with_journal,
+                )
+
+                journal, compiled, error = compile_with_journal(
+                    function, machine, config
+                )
+                if error is not None:
+                    raise error
+                explain = build_explain_report(journal, compiled)
             else:
-                print(f"FAIL {label} [{kernel}]:")
-                for report in reports:
-                    if not report.ok:
-                        print(
-                            "  " + report.describe().replace("\n", "\n  ")
-                        )
+                compiled = compile_function(function, machine, config)
+        except CoverageError as error:
+            # The documented contract, not a bug: this machine genuinely
+            # cannot implement the program.
+            skipped += 1
+            entry["status"] = "skipped"
+            entry["reason"] = str(error)
+            results.append(entry)
+            if not args.json and not args.quiet:
+                print(f"SKIP {label}: {str(error)[:100]}")
+            continue
+        reports = verify_function(compiled)
+        checks = sum(r.checks for r in reports)
+        violations = sum(len(r.violations) for r in reports)
+        total_violations += violations
+        certified += violations == 0
+        entry["status"] = "ok" if violations == 0 else "violations"
+        entry["checks"] = checks
+        blocks_json = []
+        for report in reports:
+            summary = report.summary()
+            if explain is not None:
+                from repro.explain import find_decision
+
+                for violation, record in zip(
+                    report.violations, summary["violations"]
+                ):
+                    record["decision"] = find_decision(
+                        explain,
+                        report.block,
+                        task=violation.task,
+                        cycle=violation.cycle,
+                    )
+            blocks_json.append(summary)
+        entry["blocks"] = blocks_json
+        results.append(entry)
+        if args.json:
+            continue
+        if violations == 0:
+            if not args.quiet:
+                print(
+                    f"OK   {label}: {len(reports)} block(s), {checks} checks"
+                )
+        else:
+            print(f"FAIL {label}:")
+            for report in reports:
+                if not report.ok:
+                    print("  " + report.describe().replace("\n", "\n  "))
     if args.json:
         print(
             json_module.dumps(
@@ -714,29 +682,21 @@ def _cmd_explain(args) -> int:
     with open(args.source) as handle:
         source = handle.read()
     config = HeuristicConfig.default()
-    if args.kernel:
-        config = config.with_(clique_kernel=args.kernel)
     report, _compiled, error = explain_source(
         source,
         machine,
         config,
         meta={"source": args.source, "machine": machine.name},
     )
-    if args.diff or args.diff_kernel:
-        other_machine = (
-            resolve_machine(args.diff) if args.diff else machine
-        )
-        other_config = HeuristicConfig.default()
-        if args.diff_kernel:
-            other_config = other_config.with_(clique_kernel=args.diff_kernel)
+    if args.diff:
+        other_machine = resolve_machine(args.diff)
         other_report, _, other_error = explain_source(
             source,
             other_machine,
-            other_config,
+            config,
             meta={"source": args.source, "machine": other_machine.name},
         )
-        label_a = f"{machine.name}/{args.kernel or 'default'}"
-        label_b = f"{other_machine.name}/{args.diff_kernel or 'default'}"
+        label_a, label_b = machine.name, other_machine.name
         diff = diff_reports(report, other_report, label_a, label_b)
         if args.json:
             print(json_module.dumps(diff, indent=2, sort_keys=True))
@@ -1179,13 +1139,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="restrict to this workload (repeatable; default: all)",
     )
     gap.add_argument(
-        "--kernel",
-        choices=("bitmask", "reference", "both"),
-        default="both",
-        help="clique kernel(s) for the heuristic seed compile "
-        "(default: both — also cross-checks kernel agreement)",
-    )
-    gap.add_argument(
         "--budget",
         type=int,
         default=50_000,
@@ -1242,19 +1195,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fuzz.add_argument(
         "--verbose", "-v", action="store_true", help="per-iteration log"
-    )
-    fuzz.add_argument(
-        "--clique-kernel",
-        choices=("bitmask", "reference"),
-        default=None,
-        help="force every case's covering kernel (equivalence guard)",
-    )
-    fuzz.add_argument(
-        "--sndag-mode",
-        choices=("lazy", "eager"),
-        default=None,
-        help="force every case's transfer materialization mode "
-        "(lazy-vs-eager equivalence guard)",
     )
     fuzz.add_argument(
         "--cache-dir",
@@ -1459,12 +1399,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="certify every reproducer JSON in DIR on its own machine",
     )
     verify.add_argument(
-        "--kernel",
-        choices=("bitmask", "reference", "both"),
-        default="both",
-        help="covering kernel(s) to certify under (default: both)",
-    )
-    verify.add_argument(
         "--json", action="store_true", help="machine-readable results"
     )
     verify.add_argument(
@@ -1547,12 +1481,6 @@ def build_parser() -> argparse.ArgumentParser:
     explain.add_argument("source", help="minic source file")
     explain.add_argument("--machine", "-m", required=True)
     explain.add_argument(
-        "--kernel",
-        choices=("bitmask", "reference"),
-        default=None,
-        help="covering kernel (journals are identical either way)",
-    )
-    explain.add_argument(
         "--json",
         action="store_true",
         help="emit the repro/explain/v1 report (or diff) as JSON",
@@ -1571,12 +1499,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--diff",
         metavar="SPEC",
         help="second machine to run and compare decisions against",
-    )
-    explain.add_argument(
-        "--diff-kernel",
-        choices=("bitmask", "reference"),
-        default=None,
-        help="covering kernel for the --diff run",
     )
 
     return parser

@@ -12,7 +12,7 @@ register-bank allocation, and scheduling *concurrently*:
 - :mod:`repro.covering.taskgraph` — materialises one assignment as a
   graph of schedulable operation and transfer tasks, choosing among
   multiple transfer paths (IV-B), and supports spill insertion (Fig. 9).
-- :mod:`repro.covering.parallelism` — the pairwise-parallelism matrix
+- :mod:`repro.covering.parallelism` — the pairwise-parallelism relation
   (IV-C.1, Fig. 7).
 - :mod:`repro.covering.cliques` — maximal-clique generation with the
   paper's pruning rule (Fig. 8), the level-window heuristic (IV-C.2),
@@ -28,12 +28,10 @@ register-bank allocation, and scheduling *concurrently*:
 from repro.covering.config import HeuristicConfig
 from repro.covering.assignment import Assignment, explore_assignments
 from repro.covering.taskgraph import Task, TaskGraph, TaskKind, ReadRef
-from repro.covering.parallelism import parallelism_masks, parallelism_matrix
+from repro.covering.parallelism import parallelism_masks
 from repro.covering.cliques import (
     generate_maximal_clique_masks,
-    generate_maximal_cliques,
     legalize_clique_masks,
-    legalize_cliques,
 )
 from repro.covering.pressure import PressureTracker
 from repro.covering.cover import cover_assignment
@@ -48,11 +46,8 @@ __all__ = [
     "TaskGraph",
     "TaskKind",
     "ReadRef",
-    "parallelism_matrix",
     "parallelism_masks",
-    "generate_maximal_cliques",
     "generate_maximal_clique_masks",
-    "legalize_cliques",
     "legalize_clique_masks",
     "PressureTracker",
     "cover_assignment",

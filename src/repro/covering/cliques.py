@@ -1,26 +1,23 @@
 """Maximal-clique generation and instruction legality (paper, IV-C).
 
-:func:`generate_maximal_cliques` is a faithful implementation of the
-Fig. 8 pseudo-code: a recursive generator over the pairwise-parallelism
-matrix whose first loop greedily absorbs every node that "will not
-preclude adding any other node", whose second loop branches on the
-remaining compatible nodes, and whose ``i < index`` test prunes cliques
-that an earlier seed already produced.  Its bitmask counterpart,
-:func:`generate_maximal_clique_masks`, gets the same answer faster by
-enumerating with pivoting Bron–Kerbosch and keeping the Fig. 8
-recursion for the one case where its traversal order matters: when the
-``max_cliques`` budget is reached.
+:func:`generate_maximal_clique_masks` enumerates the maximal cliques of
+the parallelism graph (Fig. 8) over integer bitmask rows.  It runs
+pivoting Bron–Kerbosch, and keeps the Fig. 8 recursion for the one case
+where its traversal order matters: when the ``max_cliques`` budget is
+reached.
 
-:func:`legalize_cliques` implements IV-C.3: each proposed instruction is
-compared with the ISDL constraints; an illegal grouping is split into
-smaller cliques until every constraint is met.
+:func:`legalize_clique_masks` implements IV-C.3: each proposed
+instruction is compared with the ISDL constraints; an illegal grouping
+is split into smaller cliques until every constraint is met.
+
+The paper-literal versions of both — the Fig. 8 recursion over a
+conflict matrix and a pairwise subsumption filter — live on as a
+test-only differential oracle in ``tests/reference_kernel.py``.
 """
 
 from __future__ import annotations
 
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
-
-import numpy as np
 
 from repro.covering.taskgraph import Task, TaskGraph, TaskKind
 from repro.errors import CoverageError
@@ -39,102 +36,8 @@ class _CliqueBudgetExceeded(Exception):
 #: matrices — where distinct member sets grow combinatorially — we stop
 #: *inserting* new states past this many entries rather than let the
 #: dict blow up memory.  Existing entries keep being consulted and
-#: updated, and both kernels apply the cap identically, so results are
-#: unchanged.
+#: updated, so results are unchanged.
 _VISITED_LIMIT = 1 << 18
-
-
-def generate_maximal_cliques(
-    matrix: np.ndarray, max_cliques: Optional[int] = None
-) -> List[FrozenSet[int]]:
-    """All maximal cliques of the parallelism graph (Fig. 8).
-
-    ``matrix`` is the conflict matrix (0 = parallel).  Returns cliques as
-    frozensets of *matrix indices*, deterministically ordered (by size
-    descending, then lexicographically).  Every node appears in at least
-    one clique; a clique may contain a single node.
-
-    ``max_cliques`` bounds the enumeration — the paper calls clique
-    generation "the most time consuming portion of our algorithm".  When
-    the budget trips, the cliques found so far are returned, topped up
-    with singletons for any node not yet covered (so covering always has
-    a usable candidate per node).
-
-    The candidate bookkeeping is vectorised over numpy boolean rows; the
-    recursion structure and the ``i < index`` pruning follow the paper's
-    pseudo-code exactly.
-    """
-    size = matrix.shape[0]
-    parallel = matrix == 0  # diagonal is False: a node never self-merges
-    found: Set[FrozenSet[int]] = set()
-    #: states already expanded, with the smallest ``index`` they were
-    #: expanded under — the second loop's branches reach the same clique
-    #: through different insertion orders, and a smaller index explores a
-    #: superset of branches, so only strictly-smaller revisits re-expand.
-    visited: Dict[FrozenSet[int], int] = {}
-    # Search statistics accumulate in locals; one counter flush at the
-    # end keeps the recursion probe-free.
-    index_prunes = 0
-    revisit_skips = 0
-    budget_trips = 0
-    singleton_topups = 0
-
-    def gen_max_clique(members: List[int], index: int) -> None:
-        nonlocal index_prunes, revisit_skips
-        state = frozenset(members)
-        seen_index = visited.get(state)
-        if seen_index is not None and seen_index <= index:
-            revisit_skips += 1
-            return
-        if len(visited) < _VISITED_LIMIT or state in visited:
-            visited[state] = index
-        while True:
-            compatible = parallel[members].all(axis=0)
-            candidates = np.flatnonzero(compatible)
-            if candidates.size == 0:
-                if max_cliques is not None and len(found) >= max_cliques:
-                    raise _CliqueBudgetExceeded
-                found.add(frozenset(members))
-                return
-            # First loop: absorb the lowest-numbered candidate that does
-            # not preclude any other candidate (all-pairwise-parallel
-            # within the candidate set).
-            sub = parallel[np.ix_(candidates, candidates)]
-            non_precluding = np.flatnonzero(
-                sub.sum(axis=1) == candidates.size - 1
-            )
-            if non_precluding.size:
-                node = int(candidates[non_precluding[0]])
-                if node < index:
-                    index_prunes += 1
-                    return  # pruning condition (Fig. 8)
-                members = members + [node]
-                continue
-            break
-        # Second loop: branch on each remaining compatible node.
-        for node in candidates:
-            gen_max_clique(members + [int(node)], max(int(node), index))
-
-    try:
-        for seed in range(size):
-            gen_max_clique([seed], seed)
-    except _CliqueBudgetExceeded:
-        budget_trips = 1
-        covered = set().union(*found) if found else set()
-        for node in range(size):
-            if node not in covered:
-                found.add(frozenset({node}))
-                singleton_topups += 1
-    tm = _telemetry()
-    if tm.enabled:
-        tm.count("cliques.generation_calls", 1)
-        tm.count("cliques.enumerated", len(found))
-        tm.count("cliques.index_prunes", index_prunes)
-        tm.count("cliques.revisit_skips", revisit_skips)
-        tm.count("cliques.budget_trips", budget_trips)
-        tm.count("cliques.singleton_topups", singleton_topups)
-        tm.record("cliques.matrix_size", size)
-    return sorted(found, key=lambda c: (-len(c), sorted(c)))
 
 
 def _enumerate_clique_masks(
@@ -240,16 +143,16 @@ def _fig8_clique_masks(
     Returns ``(found_masks, budget_tripped, [index_prunes,
     revisit_skips])``.  The traversal — seed order, the greedy absorb of
     the lowest non-precluding candidate, the ``i < index`` prune, the
-    visited memo, and the budget check — mirrors the numpy reference
-    step for step, so the two kernels stay bit-identical even in the
+    visited memo, and the budget check — follows the paper's pseudo-code
+    step for step, which decides the result in the
     traversal-order-dependent budget-trip regime.
 
     A non-zero ``restrict`` prunes any branch that can no longer reach a
     clique intersecting it: every clique produced below a state is a
-    subset of ``members | compatible``, and on any reference path that
-    produces a clique C, ``members ⊆ C ⊆ members | compatible`` holds at
-    every step — so the prune loses exactly the cliques disjoint from
-    ``restrict`` and nothing else.
+    subset of ``members | compatible``, and on any unrestricted path
+    that produces a clique C, ``members ⊆ C ⊆ members | compatible``
+    holds at every step — so the prune loses exactly the cliques
+    disjoint from ``restrict`` and nothing else.
     """
     found: Set[int] = set()
     visited: Dict[int, int] = {}
@@ -311,13 +214,17 @@ def generate_maximal_clique_masks(
 ) -> List[int]:
     """All maximal cliques over bitmask parallelism rows (Fig. 8).
 
-    The bitmask counterpart of :func:`generate_maximal_cliques`: input
-    rows come from :func:`repro.covering.parallelism.parallelism_masks`
-    (task-id bit space), output cliques are ints with one bit per member
-    task, ordered by size descending then lexicographically — the same
-    cliques, in the same order, as the reference kernel produces on the
-    equivalent matrix (including the budget-trip + singleton-top-up
-    behavior).
+    Input rows come from
+    :func:`repro.covering.parallelism.parallelism_masks` (task-id bit
+    space); output cliques are ints with one bit per member task,
+    ordered by size descending then lexicographically.  Every node
+    appears in at least one clique; a clique may contain a single node.
+
+    ``max_cliques`` bounds the enumeration — the paper calls clique
+    generation "the most time consuming portion of our algorithm".  When
+    the budget trips, the cliques found so far are returned, topped up
+    with singletons for any node not yet covered (so covering always has
+    a usable candidate per node).
     """
     found, tripped, stats = _enumerate_clique_masks(rows, max_cliques)
     singleton_topups = 0
@@ -405,75 +312,17 @@ def _raise_uncoverable(
     )
 
 
-def legalize_cliques(
-    graph: TaskGraph, cliques: Sequence[FrozenSet[int]], machine: Machine
-) -> List[FrozenSet[int]]:
-    """Split illegal cliques until every instruction meets the
-    constraints (IV-C.3), dropping results subsumed by larger cliques.
-
-    Raises :class:`CoverageError` when a task present in the input falls
-    out of every legal clique (its singleton grouping already violates a
-    constraint) — covering could never schedule it.
-    """
-    if not machine.constraints:
-        return list(cliques)
-    jr = _telemetry().journal
-    legal: Set[FrozenSet[int]] = set()
-    work = list(cliques)
-    seen: Set[FrozenSet[int]] = set()
-    splits = 0
-    while work:
-        clique = work.pop()
-        if clique in seen or not clique:
-            continue
-        seen.add(clique)
-        violated = None
-        culprit = None
-        for constraint in machine.constraints:
-            matches = _violates(graph.tasks, clique, constraint)
-            if matches:
-                violated = matches
-                culprit = constraint
-                break
-        if violated is None:
-            legal.add(clique)
-            continue
-        # Break the violation: removing any node matching any term yields
-        # a smaller clique; branch on each possibility.
-        breakers = sorted({t for matched in violated for t in matched})
-        splits += 1
-        if jr.enabled:
-            jr.emit(
-                "clique.split",
-                members=sorted(clique),
-                constraint=str(culprit),
-                breakers=breakers,
-            )
-        for task_id in breakers:
-            work.append(clique - {task_id})
-    # Drop cliques strictly contained in another legal clique.
-    result = [
-        c
-        for c in legal
-        if not any(c < other for other in legal)
-    ]
-    tm = _telemetry()
-    if tm.enabled:
-        tm.count("cliques.illegal_split", splits)
-        tm.count("cliques.subsumed_discarded", len(legal) - len(result))
-    requested: Set[int] = set().union(*cliques) if cliques else set()
-    covered: Set[int] = set().union(*result) if result else set()
-    if requested - covered:
-        _raise_uncoverable(graph, machine, requested - covered)
-    return sorted(result, key=lambda c: (-len(c), sorted(c)))
-
-
 def legalize_clique_masks(
     graph: TaskGraph, cliques: Sequence[int], machine: Machine
 ) -> List[int]:
-    """Bitmask counterpart of :func:`legalize_cliques`: cliques are ints
-    in task-id bit space; same splits, same subsumption filter, same
-    order, same uncoverable-task diagnostic."""
+    """Split illegal cliques until every instruction meets the
+    constraints (IV-C.3), dropping results subsumed by larger cliques.
+
+    Cliques are ints in task-id bit space.  Raises
+    :class:`CoverageError` when a task present in the input falls out of
+    every legal clique (its singleton grouping already violates a
+    constraint) — covering could never schedule it.
+    """
     if not machine.constraints:
         return list(cliques)
     # One mask per constraint term: the tasks matching it.  A clique

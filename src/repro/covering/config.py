@@ -51,22 +51,6 @@ class HeuristicConfig:
         spill_penalty: cost units charged per value expected to exceed a
             register bank's capacity (only with
             ``register_aware_assignment``).
-        clique_kernel: which clique/covering hot-path implementation to
-            use.  ``"bitmask"`` (default) runs the integer-bitset kernel
-            with incremental ready-set maintenance and incremental
-            post-spill clique rebuilds; ``"reference"`` runs the original
-            numpy/set implementation.  Both produce bit-identical
-            schedules (enforced differentially by the ``hotpath`` tests
-            and a fuzz-oracle pass).
-        sndag_mode: how the Split-Node DAG materialises transfer
-            alternatives.  ``"lazy"`` (default) creates TRANSFER node
-            chains on demand — only for the movements chosen assignments
-            actually perform, with equivalent-cost minimal paths folded
-            into canonical representatives; ``"eager"`` expands every
-            multi-hop path between every reachable storage pair up front
-            (the paper's construction), kept as a bit-identical
-            differential oracle the same way ``clique_kernel`` keeps the
-            reference kernel.
     """
 
     assignment_pruning: bool = True
@@ -79,20 +63,6 @@ class HeuristicConfig:
     max_cliques: Optional[int] = 20_000
     register_aware_assignment: bool = False
     spill_penalty: int = 2
-    clique_kernel: str = "bitmask"
-    sndag_mode: str = "lazy"
-
-    def __post_init__(self) -> None:
-        if self.clique_kernel not in ("bitmask", "reference"):
-            raise ValueError(
-                f"unknown clique_kernel {self.clique_kernel!r}; "
-                f"expected 'bitmask' or 'reference'"
-            )
-        if self.sndag_mode not in ("lazy", "eager"):
-            raise ValueError(
-                f"unknown sndag_mode {self.sndag_mode!r}; "
-                f"expected 'lazy' or 'eager'"
-            )
 
     @classmethod
     def default(cls) -> "HeuristicConfig":

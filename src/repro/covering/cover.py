@@ -10,18 +10,14 @@ for spilling — based on the most-needed bank and the number of reloads
 the spill will cause — the task graph is augmented with load/spill
 transfers (Fig. 9), and the maximal cliques are regenerated.
 
-Two implementations of the loop exist, selected by
-``HeuristicConfig.clique_kernel``:
-
-- ``"bitmask"`` (default): cliques, ready/admissible sets, and
-  parallelism rows are integer bitmasks; the ready set is maintained
-  incrementally; after a spill only the cliques whose members touch the
-  rewired subgraph are re-enumerated (:class:`_MaskCliqueCache`).
-- ``"reference"``: the original set/numpy implementation, recomputing
-  the ready set per iteration and rebuilding all cliques after a spill.
-
-Both make identical decisions at every step and produce bit-identical
-schedules; the ``hotpath`` test suite and a fuzz-oracle pass enforce it.
+Cliques, ready/admissible sets, and parallelism rows are integer
+bitmasks; the ready set is maintained incrementally; after a spill only
+the cliques whose members touch the rewired subgraph are re-enumerated
+(:class:`_MaskCliqueCache`).  The straightforward loop this one was
+derived from — ready set recomputed every cycle, every clique rebuilt
+after a spill — is kept as a test-only differential oracle
+(``tests/reference_kernel.py``); the ``hotpath`` tests check that both
+make the same decision at every step.
 """
 
 from __future__ import annotations
@@ -34,12 +30,10 @@ from repro.errors import CoverageError
 from repro.covering.cliques import (
     _enumerate_clique_masks,
     generate_maximal_clique_masks,
-    generate_maximal_cliques,
     legalize_clique_masks,
-    legalize_cliques,
 )
 from repro.covering.config import HeuristicConfig
-from repro.covering.parallelism import parallelism_masks, parallelism_matrix
+from repro.covering.parallelism import parallelism_masks
 from repro.covering.pressure import PressureTracker
 from repro.covering.taskgraph import TaskGraph
 from repro.telemetry.session import current as _telemetry
@@ -64,12 +58,7 @@ class CoverResult:
 @dataclass
 class CoverStats:
     """Per-call covering-loop statistics, accumulated in the loop and
-    flushed to telemetry counters once when the call exits.
-
-    Both kernels update the same instance; named fields (rather than the
-    positional list they replaced) make an index slip between the two
-    update sites impossible.
-    """
+    flushed to telemetry counters once when the call exits."""
 
     iterations: int = 0
     stall_nops: int = 0
@@ -96,8 +85,8 @@ def _journal_step(
 ) -> None:
     """Record one clique-selection decision (paper IV-D).
 
-    ``chosen``/``feasible``/``top`` arrive as sorted member-id lists so
-    the frozenset and bitmask kernels journal byte-identically.  The
+    ``chosen``/``feasible``/``top`` arrive as sorted member-id lists, so
+    the journal does not depend on how the loop represents cliques.  The
     lookahead estimates are recomputed here for *every* candidate — the
     selection itself only computes them on a top-size tie — so the entry
     can always say what the tie-break saw (or would have seen).
@@ -130,22 +119,6 @@ def _journal_step(
         tie_break="lookahead" if tie else "first",
         via_subset=via_subset,
     )
-
-
-def _build_cliques(
-    graph: TaskGraph, task_ids: List[int], config: HeuristicConfig
-) -> List[FrozenSet[int]]:
-    """Maximal legal cliques over ``task_ids``, as task-id frozensets."""
-    if not task_ids:
-        return []
-    matrix, index_map = parallelism_matrix(
-        graph, task_ids, level_window=config.level_window
-    )
-    cliques = generate_maximal_cliques(matrix, config.max_cliques)
-    as_tasks = [
-        frozenset(index_map[i] for i in clique) for clique in cliques
-    ]
-    return legalize_cliques(graph, as_tasks, graph.machine)
 
 
 class _Lookahead:
@@ -380,8 +353,7 @@ def _pick_spill(
     """One register-starvation decision (paper Fig. 9): pick the focus
     consumer, the bank to relieve, and the delivery to spill.
 
-    Shared verbatim by both covering kernels so the spill policy cannot
-    drift between them.  Returns ``(victim, focus, focus_bank)``.
+    Returns ``(victim, focus, focus_bank)``.
     """
     blocked = sorted(
         {b for c in candidates for b in tracker.blocked_banks(c)}
@@ -476,12 +448,9 @@ def cover_assignment(
         # nested or retried coverings.
         stats = CoverStats()
         try:
-            if config.clique_kernel == "reference":
-                result = _cover_loop(graph, config, bound, stuck_strategy, stats)
-            else:
-                result = _cover_loop_masks(
-                    graph, config, bound, stuck_strategy, stats
-                )
+            result = _cover_loop_masks(
+                graph, config, bound, stuck_strategy, stats
+            )
         finally:
             tm.count("cover.calls", 1)
             tm.count("cover.iterations", stats.iterations)
@@ -492,167 +461,6 @@ def cover_assignment(
         if result is None:
             tm.count("cover.bound_prunes", 1)
         return result
-
-
-def _cover_loop(
-    graph: TaskGraph,
-    config: HeuristicConfig,
-    bound: Optional[int],
-    stuck_strategy: str,
-    stats: CoverStats,
-) -> Optional[CoverResult]:
-    """The reference covering loop: per-iteration ready recomputation,
-    frozenset cliques, full clique rebuild after every spill."""
-    jr = _telemetry().journal
-    tracker = PressureTracker(graph)
-    covered: Set[int] = set()
-    schedule: List[List[int]] = []
-    #: issue cycle of each covered task (for multi-cycle latencies).
-    issue_cycle: Dict[int, int] = {}
-    uncovered = set(graph.task_ids())
-    cliques = _build_cliques(graph, sorted(uncovered), config)
-    spills_done = 0
-    focus: Optional[int] = None
-    focus_bank: str = ""
-
-    while uncovered:
-        stats.iterations += 1
-        if bound is not None and len(schedule) >= bound:
-            return None
-        now = len(schedule)
-        ready = {
-            t
-            for t in uncovered
-            if all(
-                d in covered
-                and issue_cycle[d] + graph.latency(d) <= now
-                for d in graph.tasks[t].dependencies()
-            )
-        }
-        if not ready:
-            # Results still in flight (multi-cycle ops): stall one cycle.
-            pending_latency = any(
-                issue_cycle[d] + graph.latency(d) > now
-                for t in uncovered
-                for d in graph.tasks[t].dependencies()
-                if d in covered
-            )
-            if pending_latency:
-                stats.stall_nops += 1
-                if jr.enabled:
-                    jr.emit("cover.stall", cycle=now)
-                schedule.append([])  # an explicit NOP word
-                continue
-            raise CoverageError("no ready task but tasks remain (cycle?)")
-        if focus is not None and (
-            focus in covered or focus not in graph.tasks
-        ):
-            focus = None  # the focused consumer executed (or was rewired)
-        admissible = ready
-        if focus is not None:
-            # Reserve the congested bank for the focused consumer's own
-            # dependency subtree: nothing else may deliver into it until
-            # the consumer runs (prevents operand-delivery ping-pong).
-            allowed = _uncovered_ancestors(graph, focus, covered)
-            admissible = {
-                t
-                for t in ready
-                if graph.tasks[t].dest_storage != focus_bank or t in allowed
-            }
-            if not admissible:
-                admissible = ready  # nothing focusable is ready; relax
-        candidates: List[FrozenSet[int]] = []
-        seen: Set[FrozenSet[int]] = set()
-        for clique in cliques:
-            shrunk = frozenset(clique & admissible)
-            if shrunk and shrunk not in seen:
-                seen.add(shrunk)
-                candidates.append(shrunk)
-        feasible = [c for c in candidates if tracker.feasible(c)]
-        via_subset = False
-        if not feasible:
-            # Try feasible subsets before resorting to a spill: a clique
-            # may be blocked by one member only.
-            subsets = {
-                _feasible_subset(tracker, c) for c in candidates
-            }
-            feasible = [s for s in subsets if s]
-            if feasible:
-                stats.subset_fallbacks += 1
-                via_subset = True
-        if feasible:
-            best_size = max(len(c) for c in feasible)
-            top = [c for c in feasible if len(c) == best_size]
-            tie = len(top) > 1 and config.lookahead
-            if tie:
-                stats.lookahead_ties += 1
-                estimate = _Lookahead(graph, uncovered).estimate
-                chosen = min(
-                    top, key=lambda c: (estimate(sorted(c)), sorted(c))
-                )
-            else:
-                chosen = min(top, key=lambda c: sorted(c))
-            if jr.enabled:
-                _journal_step(
-                    jr,
-                    graph,
-                    uncovered,
-                    now,
-                    sorted(chosen),
-                    [sorted(c) for c in feasible],
-                    [sorted(c) for c in top],
-                    tie,
-                    via_subset,
-                )
-            tracker.commit(chosen)
-            covered |= chosen
-            uncovered -= chosen
-            for task_id in chosen:
-                issue_cycle[task_id] = now
-            schedule.append(sorted(chosen))
-            continue
-        # Spill path (paper Fig. 9).
-        spills_done += 1
-        stats.spill_rounds += 1
-        if spills_done > config.max_spills:
-            raise CoverageError(
-                f"more than {config.max_spills} spills required; "
-                f"register files are too small for this block"
-            )
-        explain = [] if jr.enabled else None
-        victim, focus, focus_bank = _pick_spill(
-            graph, tracker, candidates, covered, ready, stuck_strategy, explain
-        )
-        if jr.enabled:
-            jr.emit(
-                "cover.spill",
-                cycle=now,
-                victim=victim,
-                victim_desc=graph.tasks[victim].describe(),
-                focus=focus,
-                focus_bank=focus_bank,
-                candidates=explain,
-            )
-        graph.spill_delivery(victim, covered, ready=ready)
-        uncovered = set(graph.task_ids()) - covered
-        tracker.rebuild(schedule)
-        cliques = _build_cliques(graph, sorted(uncovered), config)
-
-    # A pinned value (branch condition) must have completed by the time
-    # the control slot after the block body reads it: pad with NOPs if a
-    # multi-cycle producer issued too late.
-    for delivery in sorted(graph.pinned):
-        available = issue_cycle[delivery] + graph.latency(delivery)
-        while len(schedule) < available:
-            schedule.append([])
-    if bound is not None and len(schedule) >= bound:
-        return None  # completed, but no better than the known solution
-    return CoverResult(
-        schedule=schedule,
-        register_estimate=tracker.register_estimate(),
-        spill_count=graph.spill_count,
-        reload_count=graph.reload_count,
-    )
 
 
 class _MaskCliqueCache:
@@ -672,10 +480,10 @@ class _MaskCliqueCache:
 
     Budget semantics stay exact by construction: the incremental path is
     only trusted when the *total* clique count stays strictly below
-    ``max_cliques`` (where the reference enumeration can never trip); in
-    any other case — previous build tripped, restricted run tripped, or
-    the merged total reaches the budget — it falls back to a full
-    enumeration with the reference trip/top-up behavior.
+    ``max_cliques`` (where a full enumeration can never trip); in any
+    other case — previous build tripped, restricted run tripped, or the
+    merged total reaches the budget — it falls back to a full
+    enumeration with its trip/top-up behavior.
     """
 
     def __init__(self) -> None:
@@ -752,13 +560,13 @@ class _MaskCliqueCache:
 
 
 class _ReadyState:
-    """Incremental ready-set bookkeeping (bitmask kernel).
+    """Incremental ready-set bookkeeping.
 
     ``ready_mask`` holds the tasks whose dependencies are all covered
     *and* complete (multi-cycle latencies included).  Tasks whose last
     dependency was just covered wait in an arrival heap until their
-    latest operand's completion cycle, instead of the reference loop's
-    full rescan per iteration.  After a spill rewires the graph the
+    latest operand's completion cycle, instead of a full rescan per
+    iteration.  After a spill rewires the graph the
     whole state is rebuilt (spills are rare; rewiring invalidates
     dependency counts wholesale).
     """
@@ -845,10 +653,9 @@ def _cover_loop_masks(
     stuck_strategy: str,
     stats: CoverStats,
 ) -> Optional[CoverResult]:
-    """The bitmask covering loop: decision-identical to
-    :func:`_cover_loop`, with cliques and ready/admissible sets as ints,
-    incremental ready maintenance, and incremental post-spill clique
-    rebuilds."""
+    """The covering loop, with cliques and ready/admissible sets as
+    ints, incremental ready maintenance, and incremental post-spill
+    clique rebuilds."""
     jr = _telemetry().journal
     tracker = PressureTracker(graph)
     covered: Set[int] = set()
@@ -873,9 +680,9 @@ def _cover_loop_masks(
         ready_mask = state.ready_mask
         if not ready_mask:
             # Results still in flight (multi-cycle ops): stall one cycle.
-            # A non-empty arrival heap is exactly that; otherwise fall
-            # back to the reference loop's scan, which also stalls for
-            # in-flight operands of tasks with *other* unmet deps.
+            # A non-empty arrival heap is exactly that; otherwise scan,
+            # which also stalls for in-flight operands of tasks with
+            # *other* unmet deps.
             pending_latency = bool(state.waiting) or any(
                 issue_cycle[d] + graph.latency(d) > now
                 for t in iter_bits(uncovered_mask)

@@ -156,7 +156,7 @@ def generate_block_solution(
     watch = Stopwatch()
     with watch, tm.span("covering.block", category="covering"):
         if sn is None:
-            sn = build_split_node_dag(dag, machine, mode=config.sndag_mode)
+            sn = build_split_node_dag(dag, machine)
         assignments = explore_assignments(sn, config)
         if not assignments:
             raise CoverageError(
@@ -227,7 +227,7 @@ def generate_block_solution(
                 )
                 best_index = index
         if best is not None:
-            if tm.enabled and sn.mode == "lazy":
+            if tm.enabled:
                 xfer = sn.transfer_stats()
                 tm.count("sndag.transfer_nodes_avoided", xfer["avoided"])
             tm.count("covering.blocks", 1)

@@ -1,7 +1,8 @@
-"""The pairwise-parallelism matrix (paper, Section IV-C.1, Fig. 7).
+"""The pairwise-parallelism relation (paper, Section IV-C.1, Fig. 7).
 
-Element ``[i, j]`` is 0 when tasks i and j can execute in the same
-instruction and 1 otherwise.  Two tasks conflict when they share a
+The paper's matrix holds 0 where tasks i and j can execute in the same
+instruction and 1 otherwise; here each task's row is an integer bitmask
+of the tasks it is parallel with.  Two tasks conflict when they share a
 resource (the same functional unit or the same bus) or when a dependence
 path connects them.  The optional level-window heuristic (IV-C.2)
 additionally marks pairs whose levels from the top/bottom of the
@@ -12,14 +13,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
 from repro.covering.taskgraph import TaskGraph
-from repro.utils.graph import (
-    descendant_masks,
-    longest_path_lengths,
-    transitive_closure,
-)
+from repro.utils.graph import descendant_masks, longest_path_lengths
 
 
 def task_levels(
@@ -45,56 +40,6 @@ def task_levels(
     return from_top, from_bottom
 
 
-def parallelism_matrix(
-    graph: TaskGraph,
-    task_ids: Optional[List[int]] = None,
-    level_window: Optional[int] = None,
-) -> Tuple[np.ndarray, List[int]]:
-    """Build the conflict matrix over ``task_ids`` (default: all tasks).
-
-    Returns ``(matrix, index_to_task_id)``; ``matrix[i, j] == 0`` means
-    the i-th and j-th tasks may share an instruction.  The diagonal is 1
-    (a node is not "parallel with itself" — cliques add each node once).
-    """
-    if task_ids is None:
-        task_ids = graph.task_ids()
-    size = len(task_ids)
-    matrix = np.zeros((size, size), dtype=np.uint8)
-    members = set(task_ids)
-    adjacency = {
-        t: [d for d in graph.tasks[t].dependencies() if d in members]
-        for t in task_ids
-    }
-    descendants = transitive_closure(adjacency)
-    if level_window is not None:
-        from_top, from_bottom = task_levels(graph, task_ids)
-    for i in range(size):
-        matrix[i, i] = 1
-        task_i = graph.tasks[task_ids[i]]
-        for j in range(i + 1, size):
-            task_j = graph.tasks[task_ids[j]]
-            conflict = False
-            if task_i.resource == task_j.resource:
-                conflict = True
-            elif (
-                task_ids[j] in descendants[task_ids[i]]
-                or task_ids[i] in descendants[task_ids[j]]
-            ):
-                conflict = True
-            elif level_window is not None:
-                if (
-                    abs(from_top[task_ids[i]] - from_top[task_ids[j]])
-                    > level_window
-                    or abs(from_bottom[task_ids[i]] - from_bottom[task_ids[j]])
-                    > level_window
-                ):
-                    conflict = True
-            if conflict:
-                matrix[i, j] = 1
-                matrix[j, i] = 1
-    return matrix, list(task_ids)
-
-
 def parallelism_masks(
     graph: TaskGraph,
     task_ids: Optional[List[int]] = None,
@@ -103,15 +48,15 @@ def parallelism_masks(
     """The parallel relation as integer bitmasks in *task-id* space.
 
     Returns ``{task_id: row}`` where bit ``t`` of ``row`` is set exactly
-    when :func:`parallelism_matrix` would mark the pair parallel (0).
-    Bits of tasks outside ``task_ids`` — and the diagonal — are never
-    set, so ``row & full`` is a no-op and clique masks stay inside the
-    working set.
+    when the two tasks are parallel (a 0 in the paper's matrix).  Bits
+    of tasks outside ``task_ids`` — and the diagonal — are never set, so
+    ``row & full`` is a no-op and clique masks stay inside the working
+    set.
 
-    Same relation, different build: resource conflicts come from one OR
-    per resource group, dependence conflicts from bitmask transitive
-    closures (both directions), and the level-window heuristic from
-    per-level bucket masks with prefix ORs — no Python pair loop.
+    Resource conflicts come from one OR per resource group, dependence
+    conflicts from bitmask transitive closures (both directions), and
+    the level-window heuristic from per-level bucket masks with prefix
+    ORs — no Python pair loop.
     """
     if task_ids is None:
         task_ids = graph.task_ids()

@@ -326,8 +326,8 @@ class TaskGraph:
         to bias the choice away from paths that were actually cheaper.
 
         When ``value_id`` is given, the demanded movement is also
-        reported to the Split-Node DAG so lazy mode can materialise its
-        canonical transfer chain (a no-op in eager mode).
+        reported to the Split-Node DAG, which materialises its canonical
+        transfer chain.
         """
         paths = self.sn.transfer_db.paths(source, target)
 

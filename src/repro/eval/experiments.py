@@ -124,7 +124,7 @@ def run_experiment(
         block=load.name,
         machine=machine.name,
         original_nodes=dag.stats()["paper_nodes"],
-        split_node_nodes=sn.stats()["total"],
+        split_node_nodes=sn.paper_node_count(),
         registers_per_file=registers_per_file,
         spills_inserted=solution.spill_count,
         by_hand=by_hand,

@@ -9,8 +9,8 @@ renderers for the ``repro explain`` CLI: text, versioned JSON
 diffs of two runs.
 
 The journal is deterministic by construction — bit-identical across
-the reference and bitmask covering kernels, and across repeated runs —
-so it doubles as an equivalence witness and ships inside fuzz
+repeated runs, and against the test-only reference covering loop — so
+it doubles as an equivalence witness and ships inside fuzz
 reproducers.
 """
 

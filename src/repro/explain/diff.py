@@ -1,7 +1,7 @@
 """Decision-by-decision comparison of two explain reports.
 
 ``repro explain --diff`` compiles the same source twice (two machines,
-two heuristic settings, two kernels) and wants to know *where the
+or two heuristic settings) and wants to know *where the
 searches first part ways* — not a textual diff of two JSON dumps, but
 the first journal entry at which block X's decision stream diverges,
 plus the quality delta that divergence bought.

@@ -18,8 +18,7 @@ construction with ``journal.enabled``, so the default
 and a branch.  Everything recorded is deterministic — plain ints,
 strings, and sorted lists, never wall-clock times or set iteration
 order — so two compiles of the same input produce byte-identical
-journals, and the reference and bitmask covering kernels (which make
-identical decisions by construction) journal identically too.
+journals.
 """
 
 from __future__ import annotations

@@ -6,8 +6,7 @@ resource lower bounds, IPC, per-resource slot utilization, and an
 overhead breakdown (transfers, spills, reloads, stalls).  Everything is
 computed from the final :class:`repro.covering.solution.BlockSolution`
 — after peephole compaction, i.e. the schedule that is actually emitted
-— and from the machine description, so the numbers are deterministic
-and kernel-independent.
+— and from the machine description, so the numbers are deterministic.
 """
 
 from __future__ import annotations

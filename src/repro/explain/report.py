@@ -5,10 +5,10 @@ journal: entries grouped per basic block (in first-appearance order),
 each block optionally annotated with the schedule quality metrics and
 cycle-by-cycle timeline of its *final* compiled form.
 
-Reports are deterministic by construction: no timestamps, no kernel
-name, every list explicitly ordered — the acceptance gate is that the
-reference and bitmask covering kernels, and repeated runs, produce
-byte-identical serializations.
+Reports are deterministic by construction: no timestamps, every list
+explicitly ordered — the acceptance gate is that repeated runs, and the
+test-only reference covering loop, produce byte-identical
+serializations.
 """
 
 from __future__ import annotations
@@ -55,8 +55,8 @@ def build_explain_report(
             and timelines.  ``None`` for failed compiles (the journal up
             to the failure is still reported).
         meta: free-form report metadata (source path, machine name).
-            Never include anything run-dependent (kernel, timings): the
-            report must be bit-identical across kernels and runs.
+            Never include anything run-dependent (timings): the report
+            must be bit-identical across runs.
     """
     from repro.explain.quality import quality_report, timeline
 

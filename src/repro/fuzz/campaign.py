@@ -23,7 +23,6 @@ generator/engine balance is visible.
 
 from __future__ import annotations
 
-import dataclasses
 import random
 import time
 from dataclasses import dataclass, field
@@ -187,7 +186,6 @@ def run_campaign(
     progress: Optional[Callable[[int, CaseResult], None]] = None,
     max_steps: int = 20_000,
     max_cycles: int = 200_000,
-    config_override: Optional[Dict[str, Any]] = None,
     validate: bool = True,
     cache_dir: Optional[str] = None,
     optimal_oracle: bool = False,
@@ -207,11 +205,6 @@ def run_campaign(
         post_compile_hook: test-only fault injection (see
             :func:`repro.fuzz.oracle.break_first_transfer`).
         progress: callback invoked after every iteration.
-        config_override: config fields merged over every generated
-            case's config *after* RNG-driven selection (the random
-            stream is unchanged, so iterations stay reproducible).
-            Used by CI to re-run the oracle with
-            ``{"clique_kernel": "reference"}``.
         validate: run the independent translation validator on every
             compiled block; violations are reported as the distinct
             ``validator`` failure class and shrunk toward the smallest
@@ -239,10 +232,6 @@ def run_campaign(
             stats.roundtrip_failures.append(str(error))
             stats.iterations_run += 1
             continue
-        if config_override:
-            case = dataclasses.replace(
-                case, config={**case.config, **config_override}
-            )
         result = run_case(
             case,
             post_compile_hook=post_compile_hook,

@@ -14,10 +14,11 @@ shows up as a corpus failure with the full case attached.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any, Dict, Optional, Union
 
+from repro.covering.config import HeuristicConfig
 from repro.fuzz.oracle import CaseResult, FuzzCase, Outcome, run_case
 
 #: Bump when the schema changes; loaders reject unknown formats loudly.
@@ -49,17 +50,30 @@ def case_to_dict(
 
 
 def case_from_dict(data: Dict[str, Any]) -> FuzzCase:
-    """Rebuild a case from its JSON form."""
+    """Rebuild a case from its JSON form.
+
+    Raises :class:`ValueError` for an unknown format or a config field
+    this build's :class:`HeuristicConfig` does not have (a reproducer
+    written by a build with other settings), naming the field.
+    """
     if data.get("format") != CORPUS_FORMAT:
         raise ValueError(
             f"unknown corpus format {data.get('format')!r} "
             f"(this build reads format {CORPUS_FORMAT})"
         )
+    config = dict(data.get("config", {}))
+    known = {field.name for field in fields(HeuristicConfig)}
+    unknown = sorted(set(config) - known)
+    if unknown:
+        raise ValueError(
+            f"unknown config field(s) {', '.join(map(repr, unknown))}; "
+            f"this build's HeuristicConfig has no such setting"
+        )
     return FuzzCase(
         source=data["program"],
         machine_isdl=data["machine"],
         inputs={k: int(v) for k, v in data.get("inputs", {}).items()},
-        config=dict(data.get("config", {})),
+        config=config,
         seed=data.get("seed"),
         iteration=data.get("iteration"),
     )

@@ -92,10 +92,6 @@ def collect_current_metrics(
             metrics[f"{stem}.instructions"] = _metric(
                 entry["metrics"]["instructions"], "min"
             )
-            metrics[f"{stem}.identical"] = _metric(entry["identical"], "max")
-            metrics[f"{stem}.speedup"] = _metric(
-                entry["speedup"], "max", gate=False
-            )
 
     serve = _load(Path(root), "serve")
     if serve:
@@ -115,10 +111,6 @@ def collect_current_metrics(
             stem = f"sndag.{entry['workload']}.{entry['machine']}"
             metrics[f"{stem}.lazy_transfer_nodes"] = _metric(
                 entry["lazy_transfer_nodes"], "min"
-            )
-            metrics[f"{stem}.identical"] = _metric(entry["identical"], "max")
-            metrics[f"{stem}.build_speedup"] = _metric(
-                entry["build_speedup"], "max", gate=False
             )
 
     optimal = _load(Path(root), "optimal")

@@ -2,8 +2,8 @@
 
 ``BENCH_cover.json`` tracks how *fast* the heuristic searches;
 ``BENCH_optimal.json`` tracks how *good* its answers are: for every
-(workload, machine, clique kernel) triple the heuristic engine's block
-length is compared against the constraint solver's provably minimal
+(workload, machine) pair the heuristic engine's block length is
+compared against the constraint solver's provably minimal
 one, turning the paper's "the hand-coded results are all optimal"
 column into a measured, regenerable artifact.
 
@@ -12,13 +12,12 @@ Schema (``repro/bench-optimal/v1``)::
     {
       "schema": "repro/bench-optimal/v1",
       "summary": {
-        "blocks": 12, "proven": 12, "improved": 7,
-        "gap_cycles": 13, "budget_exhausted": 0
+        "blocks": 10, "proven": 10, "improved": 6,
+        "gap_cycles": 9, "budget_exhausted": 0
       },
       "entries": [
         {
           "workload": "Ex5", "machine": "arch1_r4", "registers": 4,
-          "kernel": "bitmask",
           "heuristic_cost": 15, "optimal_cost": 12, "gap": 3,
           "proven": true, "spill_free": true, "heuristic_spills": 0,
           "cpu_seconds": 1.43,
@@ -78,14 +77,10 @@ GAP_WORKLOADS: Tuple[Tuple[str, str, int], ...] = (
 
 def collect_optimal_bench(
     workloads: Optional[List[Tuple[str, str, int]]] = None,
-    kernels: Tuple[str, ...] = ("bitmask", "reference"),
     conflict_budget: Optional[int] = 50_000,
 ) -> List[Dict[str, Any]]:
     """Solve each gap-bench workload to proven optimality (or budget).
 
-    The clique kernel only steers the *heuristic seed* compile — the
-    exact search is kernel-independent — so running both kernels also
-    cross-checks that neither kernel's schedule beats the other's gap.
     Returns the ``entries`` payload of ``BENCH_optimal.json``.
     """
     from repro.covering.config import HeuristicConfig
@@ -99,32 +94,27 @@ def collect_optimal_bench(
     for name, machine_key, registers in table:
         load = by_name[name]
         machine = BUILTIN_MACHINES[machine_key](registers)
-        for kernel in kernels:
-            config = HeuristicConfig.default().with_(clique_kernel=kernel)
-            result = optimal_block_solution(
-                load.build(),
-                machine,
-                config=config,
-                conflict_budget=conflict_budget,
-            )
-            entries.append(
-                {
-                    "workload": name,
-                    "machine": machine.name,
-                    "registers": registers,
-                    "kernel": kernel,
-                    "heuristic_cost": result.heuristic_cost,
-                    "optimal_cost": result.cost,
-                    "gap": result.gap,
-                    "proven": result.proven,
-                    "spill_free": result.spill_free,
-                    "heuristic_spills": (
-                        result.heuristic_solution.spill_count
-                    ),
-                    "cpu_seconds": result.cpu_seconds,
-                    "solver": result.stats_dict(),
-                }
-            )
+        result = optimal_block_solution(
+            load.build(),
+            machine,
+            config=HeuristicConfig.default(),
+            conflict_budget=conflict_budget,
+        )
+        entries.append(
+            {
+                "workload": name,
+                "machine": machine.name,
+                "registers": registers,
+                "heuristic_cost": result.heuristic_cost,
+                "optimal_cost": result.cost,
+                "gap": result.gap,
+                "proven": result.proven,
+                "spill_free": result.spill_free,
+                "heuristic_spills": result.heuristic_solution.spill_count,
+                "cpu_seconds": result.cpu_seconds,
+                "solver": result.stats_dict(),
+            }
+        )
     return entries
 
 
@@ -180,7 +170,7 @@ def validate_optimal_report(payload: Any) -> None:
         where = f"entry #{position}"
         if not isinstance(entry, dict):
             raise ValueError(f"{where} is not an object")
-        for key in ("workload", "machine", "kernel"):
+        for key in ("workload", "machine"):
             if not isinstance(entry.get(key), str) or not entry[key]:
                 raise ValueError(f"{where}: missing string {key!r}")
         for key in (
@@ -245,15 +235,14 @@ def validate_optimal_report(payload: Any) -> None:
 def format_gap_table(entries: List[Dict[str, Any]]) -> str:
     """Human-readable gap table (one line per entry, plus totals)."""
     lines = [
-        "workload  machine       regs  kernel     heur  opt  gap  "
-        "proven  spill-free"
+        "workload  machine       regs  heur  opt  gap  proven  spill-free"
     ]
     for entry in entries:
         proven = "yes" if entry["proven"] else "NO"
         spill_free = "yes" if entry["spill_free"] else "no"
         lines.append(
             f"{entry['workload']:8s}  {entry['machine']:12s}  "
-            f"{entry['registers']:4d}  {entry['kernel']:9s}  "
+            f"{entry['registers']:4d}  "
             f"{entry['heuristic_cost']:4d}  {entry['optimal_cost']:3d}  "
             f"{entry['gap']:3d}  {proven:6s}  {spill_free}"
         )

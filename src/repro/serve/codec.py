@@ -12,11 +12,9 @@ from the cache key's inputs.  The codec exploits the split:
   schedule, and the solution's headline metrics.
 - **Rebuilt on load**: the Split-Node DAG.  ``build_split_node_dag`` is
   a pure function of ``(dag, machine)``, both of which are pinned by the
-  cache key (DAG fingerprint + machine fingerprint).  The rebuild uses
-  lazy transfer materialisation: decoded solutions only consult the
-  DAG's alternatives (the validator's covering check), never its
-  TRANSFER nodes, so warm decodes skip the eager path expansion — an
-  even smaller fraction of the compile time the cache already skips.
+  cache key (DAG fingerprint + machine fingerprint).  Decoded solutions
+  only consult the DAG's alternatives (the validator's covering check),
+  never its TRANSFER nodes, which are materialised on demand anyway.
 
 Deserialization therefore needs the original ``BlockDAG`` and
 ``Machine``; the cache hands them in from the compile request that
@@ -187,10 +185,7 @@ def _decode(
         raise CodecError(
             f"solution format {stamp!r} does not match {CODEC_FORMAT!r}"
         )
-    # Lazy mode: decoded solutions only read ``sn.alternatives()`` (the
-    # validator's covering check), never TRANSFER nodes, so warm decodes
-    # skip the eager path expansion entirely.
-    sn = build_split_node_dag(dag, machine, mode="lazy")
+    sn = build_split_node_dag(dag, machine)
     choice: Dict[int, Alternative] = {}
     # Alternatives are frozen and compared by value; interning the
     # decoded ones keeps complex ops sharing one object, like the

@@ -8,42 +8,41 @@ For the basic-block DAG and target machine, the builder creates:
   instruction matches from the pattern matcher;
 - one SPLIT node per store, whose implementations are transfers of the
   stored value back to data memory;
-- TRANSFER nodes on every path a value might take between storages:
-  memory → consuming unit for leaves, producing unit → consuming unit
-  for operation results, producing unit → memory for stores.  Paths from
-  several split nodes reconverge: a transfer hop moving the same value
-  between the same storages over the same bus is created once, and a
-  chain arriving at a shared hop from a different predecessor merges
-  into the hop's children.
+- TRANSFER nodes on the paths a value takes between storages — memory
+  → consuming unit for leaves, producing unit → consuming unit for
+  operation results, producing unit → memory for stores — created on
+  demand (below).  Paths reconverge: a transfer hop moving the same
+  value between the same storages over the same bus is created once,
+  and a chain arriving at a shared hop from a different predecessor
+  merges into the hop's children.
 
 The resulting object carries everything the covering engine needs — the
 alternatives per operation, the transfer database, and the pattern
-matches — and reports the node counts in the paper's "Split-Node DAG
-#Nodes" column.
+matches — and reports the node count of the paper's "Split-Node DAG
+#Nodes" column (:meth:`SplitNodeDAG.paper_node_count`).
 
-Transfer materialisation modes
-------------------------------
+Transfer materialisation
+------------------------
 
 The paper's construction ("subsequently expanded to include
 multiple-step data transfers as well") is *eager*: every minimal path
 between every reachable (storage, storage) pair a value might cross is
-expanded into TRANSFER node chains up front.  Telemetry showed those
-nodes dominating the DAG (transfer ≈ 5 × split nodes on Ex2) while the
-covering engine itself answers all path questions straight from the
+expanded into TRANSFER node chains up front.  Those nodes dominate the
+DAG (transfer ≈ 5 × split nodes on Ex2) while the covering engine
+itself answers all path questions straight from the
 :class:`~repro.isdl.databases.TransferDatabase`.
 
-``mode="lazy"`` therefore skips the up-front expansion: construction
-still verifies reachability for exactly the pairs the eager build would
-have enumerated (so unmappable machines fail identically), but TRANSFER
+This builder therefore skips the up-front expansion: construction still
+verifies reachability for exactly the pairs the eager build would have
+enumerated (so unmappable machines fail identically), but TRANSFER
 nodes are only materialised on demand — :meth:`SplitNodeDAG.
 materialize_transfer` is called by the task-graph builder for each
 (value, source → destination) movement the chosen assignment actually
 needs, and all equivalent-cost minimal paths of a pair fold into the
 transfer database's canonical representative chain.  Alternative and
-store-split children then link directly to the operand/producer
-terminals.  Schedules are bit-identical between modes (the covering
-layers never read TRANSFER nodes); the eager mode remains available via
-``HeuristicConfig.sndag_mode`` as the differential oracle.
+store-split children link directly to the operand/producer terminals.
+:meth:`SplitNodeDAG.eager_transfer_node_count` counts what the eager
+expansion would have built without building it.
 """
 
 from __future__ import annotations
@@ -60,22 +59,13 @@ from repro.sndag.patterns import PatternMatch, find_pattern_matches
 from repro.telemetry.session import current as _telemetry
 from repro.utils.ids import IdAllocator
 
-#: Transfer-materialisation modes of :func:`build_split_node_dag`.
-SNDAG_MODES = ("eager", "lazy")
-
 
 class SplitNodeDAG:
     """The Split-Node DAG of one basic block on one machine."""
 
-    def __init__(self, dag: BlockDAG, machine: Machine, mode: str = "eager"):
-        if mode not in SNDAG_MODES:
-            raise ValueError(
-                f"unknown Split-Node DAG mode {mode!r}; expected one of "
-                f"{SNDAG_MODES}"
-            )
+    def __init__(self, dag: BlockDAG, machine: Machine):
         self.dag = dag
         self.machine = machine
-        self.mode = mode
         self.op_db = OperationDatabase(machine)
         self.transfer_db = TransferDatabase(machine)
         self.pattern_matches: List[PatternMatch] = []
@@ -89,11 +79,11 @@ class SplitNodeDAG:
         self.alternatives_of: Dict[int, List[int]] = {}
         #: (moved original id, source, destination, bus) -> TRANSFER id
         self._transfer_index: Dict[Tuple[int, str, str, str], int] = {}
-        #: lazy mode: (moved original id, source, destination) demands
-        #: already answered, -> last hop's node id
+        #: (moved original id, source, destination) demands already
+        #: answered, -> last hop's node id
         self._demanded: Dict[Tuple[int, str, str], Optional[int]] = {}
-        #: lazy mode: equivalent-cost minimal paths folded into the
-        #: canonical representative across all demands so far.
+        #: equivalent-cost minimal paths folded into the canonical
+        #: representative across all demands so far.
         self.transfer_paths_folded = 0
         #: eager-equivalent transfer-node count (computed on demand).
         self._eager_transfer_count: Optional[int] = None
@@ -154,7 +144,7 @@ class SplitNodeDAG:
             below = node_id
         return below
 
-    # -- lazy transfer materialisation ------------------------------------
+    # -- transfer materialisation -----------------------------------------
 
     def terminal_node(self, original_id: int) -> int:
         """The Split-Node-DAG node a transfer chain of this value starts
@@ -170,14 +160,13 @@ class SplitNodeDAG:
         """Materialise the transfer chain one demanded movement needs.
 
         Called by the task-graph builder for each (value, source →
-        destination) data movement the chosen assignment requires.  In
-        eager mode this is a no-op (every path already exists); in lazy
-        mode the pair's equivalent-cost minimal paths fold into the
-        transfer database's canonical representative, whose hop chain is
-        created once and shared across demands.  Returns the last hop's
-        node id (``None`` for a no-op or an empty path).
+        destination) data movement the chosen assignment requires.  The
+        pair's equivalent-cost minimal paths fold into the transfer
+        database's canonical representative, whose hop chain is created
+        once and shared across demands.  Returns the last hop's node id
+        (``None`` when source and destination coincide).
         """
-        if self.mode != "lazy" or source == destination:
+        if source == destination:
             return None
         key = (value_id, source, destination)
         if key in self._demanded:
@@ -215,9 +204,8 @@ class SplitNodeDAG:
         possible (producing storage, consuming storage) pair, for
         operand deliveries and stores alike — but only counts the
         distinct (value, source, destination, bus) hop keys instead of
-        creating nodes.  In eager mode this equals the actual count; in
-        lazy mode it is the baseline the materialised count is measured
-        against (``avoided = eager - materialized``).
+        creating nodes.  It is the baseline the materialised count is
+        measured against (``avoided = eager - materialized``).
         """
         if self._eager_transfer_count is not None:
             return self._eager_transfer_count
@@ -282,7 +270,9 @@ class SplitNodeDAG:
         return size
 
     def stats(self) -> Dict[str, int]:
-        """Node counts per kind; ``total`` is the paper's column."""
+        """Node counts per kind, of the nodes built so far (TRANSFER
+        nodes appear on demand); the paper's column is
+        :meth:`paper_node_count`."""
         counts = {kind: 0 for kind in SNKind}
         for node in self.nodes.values():
             counts[node.kind] += 1
@@ -293,6 +283,17 @@ class SplitNodeDAG:
             "transfer_nodes": counts[SNKind.TRANSFER],
             "total": len(self.nodes),
         }
+
+    def paper_node_count(self) -> int:
+        """The paper's "Split-Node DAG #Nodes": every node but the
+        TRANSFER ones, plus the transfer nodes the eager construction
+        would have built."""
+        stats = self.stats()
+        return (
+            stats["total"]
+            - stats["transfer_nodes"]
+            + self.eager_transfer_node_count()
+        )
 
     def transfer_stats(self) -> Dict[str, int]:
         """Materialisation accounting for the transfer-node layer.
@@ -315,23 +316,19 @@ class SplitNodeDAG:
     def __repr__(self) -> str:
         s = self.stats()
         return (
-            f"SplitNodeDAG(machine={self.machine.name!r}, mode={self.mode!r}, "
+            f"SplitNodeDAG(machine={self.machine.name!r}, "
             f"total={s['total']}, "
             f"splits={s['split_nodes']}, alts={s['alternative_nodes']}, "
             f"xfers={s['transfer_nodes']})"
         )
 
 
-def build_split_node_dag(
-    dag: BlockDAG, machine: Machine, mode: str = "eager"
-) -> SplitNodeDAG:
+def build_split_node_dag(dag: BlockDAG, machine: Machine) -> SplitNodeDAG:
     """Convert a basic-block DAG into its Split-Node DAG on ``machine``.
 
-    ``mode`` selects transfer materialisation: ``"eager"`` (the paper's
-    construction — every multi-hop path expanded up front) or ``"lazy"``
-    (transfer chains created on demand per assignment; see the module
-    docstring).  Both modes accept and reject exactly the same (DAG,
-    machine) pairs and lead to bit-identical schedules.
+    Transfer chains are created later, on demand per assignment (see
+    the module docstring); construction accepts and rejects exactly the
+    (DAG, machine) pairs the paper's eager expansion would.
 
     Raises :class:`UnmappableOperationError` if some operation cannot be
     executed by any functional unit (directly or inside a complex match).
@@ -339,7 +336,7 @@ def build_split_node_dag(
     dag.validate()
     tm = _telemetry()
     with tm.span("sndag.build", category="sndag"):
-        sn = _build_split_node_dag(dag, machine, mode)
+        sn = _build_split_node_dag(dag, machine)
     if tm.enabled:
         stats = sn.stats()
         tm.count("sndag.value_nodes", stats["value_nodes"])
@@ -351,10 +348,8 @@ def build_split_node_dag(
     return sn
 
 
-def _build_split_node_dag(
-    dag: BlockDAG, machine: Machine, mode: str
-) -> SplitNodeDAG:
-    sn = SplitNodeDAG(dag, machine, mode=mode)
+def _build_split_node_dag(dag: BlockDAG, machine: Machine) -> SplitNodeDAG:
+    sn = SplitNodeDAG(dag, machine)
     sn.pattern_matches = find_pattern_matches(dag, machine)
     matches_by_root: Dict[int, List[PatternMatch]] = {}
     for match in sn.pattern_matches:
@@ -422,27 +417,18 @@ def _build_split_node_dag(
 
     # SPLIT nodes for stores: implementations are transfers of the stored
     # value from each possible producing storage back to data memory.
+    # Same reachability contract as the eager expansion, no path chains:
+    # the value must be able to get back to data memory from every
+    # producing storage.
     for store_id in dag.stores:
-        store = dag.node(store_id)
-        producer = store.operands[0]
+        producer = dag.node(store_id).operands[0]
         split_id = sn._new_node(kind=SNKind.SPLIT, original_id=store_id)
         sn.split_of[store_id] = split_id
         children: List[int] = []
         for source in _possible_storages(sn, producer):
-            terminal = sn.terminal_node(producer)
-            if sn.mode == "lazy":
-                # Same reachability contract as the eager expansion, no
-                # path chains: the store's value must be able to get
-                # back to data memory from every producing storage.
-                if not sn.transfer_db.has_path(source, machine.data_memory):
-                    raise NoTransferPathError(source, machine.data_memory)
-                if terminal not in children:
-                    children.append(terminal)
-                continue
-            for path in sn.transfer_db.paths(source, machine.data_memory):
-                last = sn.transfer_chain(producer, path, terminal)
-                if last is not None and last not in children:
-                    children.append(last)
+            if not sn.transfer_db.has_path(source, machine.data_memory):
+                raise NoTransferPathError(source, machine.data_memory)
+            children = [sn.terminal_node(producer)]
         sn._set_children(split_id, children)
     return sn
 
@@ -482,31 +468,21 @@ def _operand_links(
     """Children of an alternative on ``consumer_unit``: for each operand,
     the nodes delivering that operand into the unit's register file.
 
-    For an operand producible in the consumer's own register file, the
-    link goes straight to the operand's split node (no transfer).  In
-    eager mode, transfer chains are created (and shared) along each
-    minimal path from every other possible source storage; in lazy mode
-    the same reachability is verified (unmappable machines fail
-    identically) but the link goes straight to the operand's terminal —
-    chains appear later, on demand, per chosen assignment.
+    The link goes straight to the operand's terminal (its VALUE or SPLIT
+    node).  Reachability from every other possible source storage is
+    verified, as the eager expansion would (unmappable machines fail
+    identically); transfer chains appear later, on demand, per chosen
+    assignment.
     """
     destination = sn.machine.unit(consumer_unit).register_file
     children: List[int] = []
     for operand_id in operand_ids:
         terminal = sn.terminal_node(operand_id)
         for source in _possible_storages(sn, operand_id):
-            if source == destination:
-                if terminal not in children:
-                    children.append(terminal)
-                continue
-            if sn.mode == "lazy":
-                if not sn.transfer_db.has_path(source, destination):
-                    raise NoTransferPathError(source, destination)
-                if terminal not in children:
-                    children.append(terminal)
-                continue
-            for path in sn.transfer_db.paths(source, destination):
-                last = sn.transfer_chain(operand_id, path, terminal)
-                if last is not None and last not in children:
-                    children.append(last)
+            if source != destination and not sn.transfer_db.has_path(
+                source, destination
+            ):
+                raise NoTransferPathError(source, destination)
+            if terminal not in children:
+                children.append(terminal)
     return children

@@ -24,24 +24,20 @@ Schema (``repro/bench-codegen/v1``)::
     }
 
 ``BENCH_cover.json`` (schema ``repro/bench-cover/v1``) is the covering
-hot-path speed ledger: each entry compiles one clique-heavy workload
-under both covering kernels (``clique_kernel="bitmask"`` vs
-``"reference"``), records the wall-clock of each, the speedup, and
-whether the two schedules were bit-identical.  Entries flagged
-``"heavy": true`` are the designated clique-bound workloads the >=2x
-acceptance bar applies to.  Written by
+hot-path ledger: each entry compiles one clique-heavy workload and
+records its best wall clock, its result metrics and the covering
+counters.  Entries flagged ``"heavy": true`` are the clique-bound
+workloads (level window off).  Written by
 ``benchmarks/test_bench_cover_hotpath.py``; CI regenerates and
 schema-validates it on every push.
 
 ``BENCH_sndag.json`` (schema ``repro/bench-sndag/v1``) is the
 transfer-materialisation ledger: each entry builds and compiles one
-Table I/II workload under both Split-Node DAG modes
-(``sndag_mode="eager"`` vs ``"lazy"``), records build times, the
-transfer-node populations (eager up-front expansion vs lazily
-materialised on demand, plus avoided nodes and folded equivalent
-paths), and whether the two schedules were bit-identical.  Written by
-``benchmarks/test_bench_sndag.py``; CI regenerates and
-schema-validates it on every push.
+Table I/II workload and records the build time and the transfer-node
+populations — what the paper's eager expansion would have built up
+front vs what was materialised on demand, plus avoided nodes and folded
+equivalent paths.  Written by ``benchmarks/test_bench_sndag.py``; CI
+regenerates and schema-validates it on every push.
 """
 
 from __future__ import annotations
@@ -187,12 +183,12 @@ def collect_codegen_bench(
 
 
 # ----------------------------------------------------------------------
-# BENCH_cover.json — covering hot-path kernel comparison
+# BENCH_cover.json — covering hot-path ledger
 # ----------------------------------------------------------------------
 
-#: Counters sampled from the bitmask-kernel run of each cover-bench
-#: workload (presence is validated so the new hot path cannot silently
-#: stop being exercised).
+#: Counters sampled from a telemetry run of each cover-bench workload
+#: (presence is validated so the hot path cannot silently stop being
+#: exercised).
 COVER_COUNTERS = (
     "cliques.mask_kernel_calls",
     "cover.iterations",
@@ -245,10 +241,9 @@ def _wide_reduction_dag(width: int):
 #: The cover-bench workload table: (name, DAG factory, register-file
 #: size for ``example_architecture``, config overrides, heavy).  The
 #: workloads marked ``heavy`` are clique-bound (level window off, so
-#: clique enumeration and covering dominate) and carry the >=2x
-#: speedup acceptance bar; the unmarked entries track the default
-#: (windowed) configuration where assignment exploration shares the
-#: profile and a smaller win is expected.
+#: clique enumeration and covering dominate); the unmarked entry tracks
+#: the default (windowed) configuration where assignment exploration
+#: shares the profile.
 COVER_WORKLOADS = (
     ("sop8-nowin", lambda: _sum_of_products_dag(8), 4,
      {"level_window": None, "num_assignments": 2}, True),
@@ -265,13 +260,9 @@ def collect_cover_bench(
     workload_names: Optional[List[str]] = None,
     repeats: int = 1,
 ) -> List[Dict[str, Any]]:
-    """Compile each cover-bench workload under both covering kernels.
-
-    For each workload the block is compiled with
-    ``clique_kernel="bitmask"`` and ``clique_kernel="reference"``
-    (best-of-``repeats`` wall clock each), the schedules are compared
-    task-for-task, and one extra bitmask run under a telemetry session
-    samples the hot-path counters.  Returns the ``entries`` payload of
+    """Compile each cover-bench workload (best-of-``repeats`` wall
+    clock), plus one extra run under a telemetry session that samples
+    the hot-path counters.  Returns the ``entries`` payload of
     ``BENCH_cover.json``.
     """
     import dataclasses
@@ -282,7 +273,7 @@ def collect_cover_bench(
     from repro.telemetry.session import TelemetrySession, use_session
 
     # One throwaway compile so lazy imports and fingerprint caches are
-    # warm before any timed run (the first kernel timed would otherwise
+    # warm before any timed run (the first one timed would otherwise
     # absorb them).
     generate_block_solution(
         _wide_reduction_dag(2),
@@ -296,23 +287,13 @@ def collect_cover_bench(
         machine = example_architecture(registers)
         base = HeuristicConfig(**overrides)
         dag = build()
-        timings: Dict[str, float] = {}
-        schedules: Dict[str, List[List[int]]] = {}
-        solutions: Dict[str, Any] = {}
-        for kernel in ("bitmask", "reference"):
-            config = base.with_(clique_kernel=kernel)
-            best = None
-            for _ in range(max(1, repeats)):
-                start = time.perf_counter()
-                solution = generate_block_solution(dag, machine, config)
-                elapsed = time.perf_counter() - start
-                if best is None or elapsed < best:
-                    best = elapsed
-                solutions[kernel] = solution
-            timings[kernel] = best
-            schedules[kernel] = [
-                sorted(word) for word in solutions[kernel].schedule
-            ]
+        best = None
+        for _ in range(max(1, repeats)):
+            start = time.perf_counter()
+            solution = generate_block_solution(dag, machine, base)
+            elapsed = time.perf_counter() - start
+            if best is None or elapsed < best:
+                best = elapsed
         session = TelemetrySession(
             meta={"source": name, "machine": machine.name}
         )
@@ -323,7 +304,6 @@ def collect_cover_bench(
             for key, value in session.report().to_dict()["counters"].items()
             if key.startswith(("cliques.", "cover."))
         }
-        bitmask = solutions["bitmask"]
         entries.append(
             {
                 "workload": name,
@@ -333,16 +313,11 @@ def collect_cover_bench(
                     for key, value in dataclasses.asdict(base).items()
                 },
                 "heavy": heavy,
-                "bitmask_s": timings["bitmask"],
-                "reference_s": timings["reference"],
-                "speedup": timings["reference"] / max(
-                    timings["bitmask"], 1e-9
-                ),
-                "identical": schedules["bitmask"] == schedules["reference"],
+                "wall_s": best,
                 "metrics": {
-                    "instructions": bitmask.instruction_count,
-                    "spills": bitmask.spill_count,
-                    "reloads": bitmask.reload_count,
+                    "instructions": solution.instruction_count,
+                    "spills": solution.spill_count,
+                    "reloads": solution.reload_count,
                     "original_nodes": dag.stats()["paper_nodes"],
                 },
                 "counters": counters,
@@ -385,21 +360,11 @@ def validate_cover_report(payload: Any) -> None:
         for key in ("workload", "machine"):
             if not isinstance(entry.get(key), str) or not entry[key]:
                 raise ValueError(f"{where}: missing string {key!r}")
-        for key in ("bitmask_s", "reference_s", "speedup"):
-            value = entry.get(key)
-            if not isinstance(value, (int, float)) or value < 0:
-                raise ValueError(
-                    f"{where}: {key!r} must be a non-negative number"
-                )
-        for key in ("heavy", "identical"):
-            if not isinstance(entry.get(key), bool):
-                raise ValueError(f"{where}: {key!r} must be a bool")
-        if entry["identical"] is not True:
-            raise ValueError(
-                f"{where}: kernels disagreed on the schedule for "
-                f"{entry['workload']!r} — the bitmask kernel must be "
-                f"bit-identical to the reference"
-            )
+        value = entry.get("wall_s")
+        if not isinstance(value, (int, float)) or value < 0:
+            raise ValueError(f"{where}: 'wall_s' must be a non-negative number")
+        if not isinstance(entry.get("heavy"), bool):
+            raise ValueError(f"{where}: 'heavy' must be a bool")
         if not isinstance(entry.get("config"), dict):
             raise ValueError(f"{where}: missing 'config' object")
         if not isinstance(entry.get("metrics"), dict):
@@ -435,14 +400,13 @@ def collect_sndag_bench(
     workload_names: Optional[List[str]] = None,
     repeats: int = 1,
 ) -> List[Dict[str, Any]]:
-    """Compare eager vs lazy Split-Node DAG construction per workload.
+    """Transfer-node populations of each Table I/II workload.
 
     For every Table I/II workload on Architecture I and II, the builder
-    runs in both modes (best-of-``repeats`` wall clock each), the block
-    is then *compiled* under both modes and the schedules compared
-    task-for-task, and the transfer-node populations are recorded: what
-    eager expansion created up front vs what the lazy build materialised
-    on demand across the explored assignments.  Returns the ``entries``
+    runs (best-of-``repeats`` wall clock), the block is compiled, and the
+    transfer-node populations are recorded: what the paper's eager
+    expansion would have built up front vs what was materialised on
+    demand across the explored assignments.  Returns the ``entries``
     payload of ``BENCH_sndag.json``.
     """
     from repro.covering.config import HeuristicConfig
@@ -458,51 +422,33 @@ def collect_sndag_bench(
             continue
         dag = load.build()
         for machine in machines:
-            timings: Dict[str, float] = {}
-            for mode in ("eager", "lazy"):
-                best = None
-                for _ in range(max(1, repeats)):
-                    start = time.perf_counter()
-                    build_split_node_dag(dag, machine, mode=mode)
-                    elapsed = time.perf_counter() - start
-                    if best is None or elapsed < best:
-                        best = elapsed
-                timings[mode] = best
-            solutions = {}
-            schedules = {}
-            for mode in ("eager", "lazy"):
-                config = HeuristicConfig(sndag_mode=mode)
-                solution = generate_block_solution(dag, machine, config)
-                solutions[mode] = solution
-                schedules[mode] = [
-                    sorted(
-                        solution.graph.tasks[task].describe()
-                        for task in word
-                    )
-                    for word in solution.schedule
-                ]
-            lazy = solutions["lazy"].sn
-            stats = lazy.transfer_stats()
-            eager_total = solutions["eager"].sn.stats()["total"]
+            best = None
+            for _ in range(max(1, repeats)):
+                start = time.perf_counter()
+                build_split_node_dag(dag, machine)
+                elapsed = time.perf_counter() - start
+                if best is None or elapsed < best:
+                    best = elapsed
+            solution = generate_block_solution(
+                dag, machine, HeuristicConfig()
+            )
+            sn = solution.sn
+            stats = sn.transfer_stats()
             entries.append(
                 {
                     "workload": load.name,
                     "machine": machine.name,
-                    "eager_build_s": timings["eager"],
-                    "lazy_build_s": timings["lazy"],
-                    "build_speedup": timings["eager"]
-                    / max(timings["lazy"], 1e-9),
+                    "lazy_build_s": best,
                     "eager_transfer_nodes": stats["eager"],
                     "lazy_transfer_nodes": stats["materialized"],
                     "avoided_transfer_nodes": stats["avoided"],
                     "paths_folded": stats["paths_folded"],
-                    "eager_total_nodes": eager_total,
-                    "lazy_total_nodes": lazy.stats()["total"],
-                    "identical": schedules["eager"] == schedules["lazy"],
+                    "eager_total_nodes": sn.paper_node_count(),
+                    "lazy_total_nodes": sn.stats()["total"],
                     "metrics": {
-                        "instructions": solutions["lazy"].instruction_count,
-                        "spills": solutions["lazy"].spill_count,
-                        "reloads": solutions["lazy"].reload_count,
+                        "instructions": solution.instruction_count,
+                        "spills": solution.spill_count,
+                        "reloads": solution.reload_count,
                     },
                 }
             )
@@ -543,12 +489,11 @@ def validate_sndag_report(payload: Any) -> None:
         for key in ("workload", "machine"):
             if not isinstance(entry.get(key), str) or not entry[key]:
                 raise ValueError(f"{where}: missing string {key!r}")
-        for key in ("eager_build_s", "lazy_build_s", "build_speedup"):
-            value = entry.get(key)
-            if not isinstance(value, (int, float)) or value < 0:
-                raise ValueError(
-                    f"{where}: {key!r} must be a non-negative number"
-                )
+        value = entry.get("lazy_build_s")
+        if not isinstance(value, (int, float)) or value < 0:
+            raise ValueError(
+                f"{where}: 'lazy_build_s' must be a non-negative number"
+            )
         for key in (
             "eager_transfer_nodes",
             "lazy_transfer_nodes",
@@ -562,12 +507,6 @@ def validate_sndag_report(payload: Any) -> None:
                 raise ValueError(
                     f"{where}: {key!r} must be a non-negative int"
                 )
-        if entry.get("identical") is not True:
-            raise ValueError(
-                f"{where}: lazy and eager disagreed on the schedule for "
-                f"{entry['workload']!r} — lazy materialisation must be "
-                f"bit-identical to the eager construction"
-            )
         if not isinstance(entry.get("metrics"), dict):
             raise ValueError(f"{where}: missing 'metrics' object")
     if not any(entry["avoided_transfer_nodes"] > 0 for entry in entries):

@@ -1,8 +1,8 @@
 """Integer-bitset helpers for the clique/covering hot path.
 
 Python ints are arbitrary-width bit vectors with O(word) AND/OR/NOT,
-which makes them the natural dense-set representation for the clique
-kernel (paper, IV-C): a set of task ids is the int with those bits set.
+which makes them the natural dense-set representation for clique
+covering (paper, IV-C): a set of task ids is the int with those bits set.
 These helpers are the only place the bit twiddling lives; everything
 else manipulates masks through them or through plain ``& | ~``.
 """

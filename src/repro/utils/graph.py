@@ -83,8 +83,8 @@ def descendant_masks(
     Like :func:`transitive_closure` but with each node's descendant set
     encoded as an int whose bit ``positions[d]`` is set for every
     descendant ``d`` (node excluded).  Unions become single ``|=`` ops on
-    machine-word-packed ints, which is what makes the bitmask clique
-    kernel's matrix build cheap.
+    machine-word-packed ints, which is what makes the parallelism rows
+    cheap to build.
     """
     order = topological_order(adjacency)
     masks: Dict[N, int] = {}

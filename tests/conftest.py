@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import random
 
-import numpy as np
 import pytest
 
+from reference_kernel import KERNELS, reference_kernel
 from repro.ir import BasicBlock, BlockDAG, Function, Opcode
 from repro.isdl import (
     architecture_two,
@@ -21,16 +21,26 @@ from repro.isdl import (
 
 @pytest.fixture(autouse=True)
 def _seeded_rngs():
-    """Pin the global RNGs before every test.
+    """Pin the global RNG before every test.
 
     Nothing in the library is supposed to touch global randomness (the
     fuzzer threads explicit ``random.Random`` objects), but tests that
-    build examples with ``random``/``numpy.random`` directly stay
-    order-independent and reproducible this way.
+    build examples with ``random`` directly stay order-independent and
+    reproducible this way.
     """
     random.seed(0x5EED)
-    np.random.seed(0x5EED)
     yield
+
+
+@pytest.fixture(autouse=True)
+def _reference_kernel_marker(request):
+    """Tests marked ``reference_kernel`` run on the test-only reference
+    covering loop (``tests/reference_kernel.py``) instead of production."""
+    if request.node.get_closest_marker("reference_kernel") is None:
+        yield
+        return
+    with reference_kernel():
+        yield
 
 
 @pytest.fixture
@@ -136,21 +146,20 @@ def single_block_function(dag: BlockDAG, name: str = "main") -> Function:
 
 
 def solve_both_kernels(dag: BlockDAG, machine, **overrides):
-    """Schedule ``dag`` under both clique kernels, normalised
+    """Schedule ``dag`` with the production covering loop (``"bitmask"``)
+    and the test-only reference oracle (``"reference"``), normalised
     word-by-word: kernel name -> (sorted schedule, spills, reloads), or
     ``("error", message)`` when covering fails.
-
-    Shared by the kernel-equivalence suite and the golden-schedule
-    regression tests so both compare the exact same canonical form.
     """
     from repro.covering import HeuristicConfig, generate_block_solution
     from repro.errors import CoverageError
 
+    config = HeuristicConfig(**overrides)
     outcome = {}
-    for kernel in ("bitmask", "reference"):
-        config = HeuristicConfig(clique_kernel=kernel, **overrides)
+    for kernel, context in KERNELS:
         try:
-            solution = generate_block_solution(dag, machine, config)
+            with context():
+                solution = generate_block_solution(dag, machine, config)
         except CoverageError as error:
             outcome[kernel] = ("error", str(error))
             continue

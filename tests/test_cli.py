@@ -5,6 +5,8 @@ import pytest
 from repro.cli import build_parser, main, resolve_machine
 from repro.errors import ReproError
 
+from reference_kernel import reference_kernel
+
 
 @pytest.fixture
 def program_file(tmp_path):
@@ -316,35 +318,13 @@ class TestExplain:
         assert report["decision_counts"].get("cover.step", 0) > 0
 
     def test_explain_kernels_identical_via_cli(self, program_file, capsys):
-        assert (
-            main(
-                [
-                    "explain",
-                    program_file,
-                    "-m",
-                    "arch1",
-                    "--kernel",
-                    "bitmask",
-                    "--json",
-                ]
-            )
-            == 0
-        )
+        # Production, then the test-only reference oracle swapped in for
+        # the covering loop: byte-identical CLI output.
+        command = ["explain", program_file, "-m", "arch1", "--json"]
+        assert main(command) == 0
         bitmask = capsys.readouterr().out
-        assert (
-            main(
-                [
-                    "explain",
-                    program_file,
-                    "-m",
-                    "arch1",
-                    "--kernel",
-                    "reference",
-                    "--json",
-                ]
-            )
-            == 0
-        )
+        with reference_kernel():
+            assert main(command) == 0
         reference = capsys.readouterr().out
         assert bitmask == reference
 
@@ -360,18 +340,31 @@ class TestExplain:
         assert page.startswith("<!DOCTYPE html>")
         assert "timeline" in page
 
-    def test_explain_diff_kernels_exit_zero(self, program_file, capsys):
+    def test_explain_diff_kernels_exit_zero(
+        self, program_file, capsys, monkeypatch
+    ):
+        # ``--diff`` on the same machine, its second run on the reference
+        # oracle: no decision differs, so the diff is identical (exit 0).
+        import repro.explain
+
+        production = repro.explain.explain_source
+        runs = []
+
+        def second_run_on_oracle(*args, **kwargs):
+            runs.append(1)
+            if len(runs) == 1:
+                return production(*args, **kwargs)
+            with reference_kernel():
+                return production(*args, **kwargs)
+
+        monkeypatch.setattr(
+            repro.explain, "explain_source", second_run_on_oracle
+        )
         code = main(
-            [
-                "explain",
-                program_file,
-                "-m",
-                "arch1",
-                "--diff-kernel",
-                "reference",
-            ]
+            ["explain", program_file, "-m", "arch1", "--diff", "arch1"]
         )
         out = capsys.readouterr().out
+        assert len(runs) == 2
         assert code == 0
         assert "identical" in out
 
@@ -386,17 +379,7 @@ class TestExplain:
     def test_verify_json_links_decisions(self, program_file, capsys):
         import json
 
-        code = main(
-            [
-                "verify",
-                program_file,
-                "-m",
-                "arch1",
-                "--kernel",
-                "bitmask",
-                "--json",
-            ]
-        )
+        code = main(["verify", program_file, "-m", "arch1", "--json"])
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         result = payload["results"][0]

@@ -1,19 +1,19 @@
-"""Differential and regression tests for the bitmask covering kernel.
+"""Differential and regression tests for the bitmask covering loop.
 
-The covering hot path exists twice: the original set/matrix
-implementation (``clique_kernel="reference"``) and the integer-bitmask
-kernel with incremental ready-set maintenance, incremental post-spill
-clique rebuilds, and the block-solution memo (``"bitmask"``, the
-default).  The contract is *bit identity*: same schedules, same spill
-decisions, same instruction counts, on every workload.  These tests
-enforce that contract differentially and pin the bugfixes that rode
-along (call-scoped loop stats, the uncoverable-task diagnostic, the
-visited-memo cap, stall-NOP/bound interaction, empty-NOP round-trips).
+The production loop (integer bitmasks, incremental ready-set
+maintenance, incremental post-spill clique rebuilds, the block-solution
+memo) is checked against the test-only reference oracle in
+``tests/reference_kernel.py`` (``"reference"``), the set/matrix loop it
+was derived from.  The contract is *bit identity*: same schedules, same
+spill decisions, same instruction counts, on every workload.  These
+tests enforce that contract differentially and pin the bugfixes that
+rode along (call-scoped loop stats, the uncoverable-task diagnostic,
+the visited-memo cap, stall-NOP/bound interaction, empty-NOP
+round-trips).
 """
 
 from __future__ import annotations
 
-import dataclasses
 import random
 from pathlib import Path
 
@@ -31,7 +31,7 @@ from repro.covering import (
 import repro.covering.cliques as cliques_module
 import repro.covering.cover as cover_module
 from repro.covering.engine import machine_fingerprint
-from repro.covering.parallelism import parallelism_masks, parallelism_matrix
+from repro.covering.parallelism import parallelism_masks
 from repro.errors import CoverageError, ReproError
 from repro.eval.workloads import WORKLOADS
 from repro.ir import BlockDAG, Opcode
@@ -42,14 +42,18 @@ from repro.isdl import (
 )
 from repro.sndag import build_split_node_dag
 from repro.telemetry import TelemetrySession, use_session
+from repro.telemetry.bench import COVER_WORKLOADS
 from repro.utils.bitset import bits, mask_of
 
+import reference_kernel as oracle
 from conftest import build_fig2_dag, build_wide_dag, solve_both_kernels
 
 CORPUS_FILES = sorted((Path(__file__).parent / "corpus").glob("*.json"))
 
-BITMASK = HeuristicConfig(clique_kernel="bitmask")
-REFERENCE = HeuristicConfig(clique_kernel="reference")
+BITMASK = HeuristicConfig()
+#: The same config, run with the reference oracle swapped in for the
+#: production covering loop.
+REFERENCE = pytest.param(BITMASK, marks=pytest.mark.reference_kernel)
 
 
 def _graph_for(dag, machine, config=None, pin_value=None):
@@ -82,7 +86,7 @@ def _build_sop_dag(terms):
 
 @pytest.mark.hotpath
 class TestKernelEquivalence:
-    """Bit-identical schedules under both kernels, everywhere."""
+    """Bit-identical schedules from production and the oracle."""
 
     @pytest.mark.parametrize(
         "load", WORKLOADS, ids=lambda load: load.name
@@ -137,26 +141,29 @@ class TestKernelEquivalence:
         )
         assert outcome["bitmask"] == outcome["reference"]
 
+    @pytest.mark.parametrize(
+        "workload", COVER_WORKLOADS, ids=lambda workload: workload[0]
+    )
+    def test_cover_bench_workloads(self, workload):
+        # The BENCH_cover.json ledger's workloads, clique-dense and
+        # spilling ones included.
+        name, build, registers, overrides, _heavy = workload
+        outcome = _solve(build(), example_architecture(registers), **overrides)
+        assert outcome["bitmask"] == outcome["reference"], name
+
     def test_clique_lists_identical(self):
         # Below the covering loop: the raw legalized clique lists agree
         # member-for-member, in order.
         from repro.covering.cliques import (
-            generate_maximal_cliques,
             generate_maximal_clique_masks,
-            legalize_cliques,
             legalize_clique_masks,
         )
 
         graph = _graph_for(build_wide_dag(6), example_architecture(4))
         task_ids = graph.task_ids()
-        matrix, index_map = parallelism_matrix(
-            graph, task_ids, level_window=None
+        reference = oracle.build_cliques(
+            graph, task_ids, HeuristicConfig(level_window=None)
         )
-        as_tasks = [
-            frozenset(index_map[i] for i in clique)
-            for clique in generate_maximal_cliques(matrix)
-        ]
-        reference = legalize_cliques(graph, as_tasks, graph.machine)
         rows = parallelism_masks(graph, task_ids, level_window=None)
         masks = legalize_clique_masks(
             graph, generate_maximal_clique_masks(rows), graph.machine
@@ -168,17 +175,15 @@ class TestKernelEquivalence:
 @pytest.mark.corpus
 @pytest.mark.parametrize("path", CORPUS_FILES, ids=lambda path: path.stem)
 def test_corpus_cases_agree_across_kernels(path):
-    """Every frozen fuzz reproducer behaves identically under both
-    kernels (outcome class, instruction count, spills, cycles)."""
+    """Every frozen fuzz reproducer behaves identically under production
+    and the oracle (outcome class, instruction count, spills, cycles)."""
     from repro.fuzz import load_case, run_case
 
     case = load_case(path)
     results = {}
-    for kernel in ("bitmask", "reference"):
-        variant = dataclasses.replace(
-            case, config={**case.config, "clique_kernel": kernel}
-        )
-        result = run_case(variant)
+    for kernel, context in oracle.KERNELS:
+        with context():
+            result = run_case(case)
         results[kernel] = (
             result.outcome,
             result.instructions,
@@ -232,12 +237,11 @@ class TestUncoverableDiagnostic:
         dag.store(
             "p", dag.operation(Opcode.MUL, (dag.var("a"), dag.var("b")))
         )
-        messages = {}
-        for config in (BITMASK, REFERENCE):
-            with pytest.raises(CoverageError) as excinfo:
-                generate_block_solution(dag, machine, config)
-            messages[config.clique_kernel] = str(excinfo.value)
-        assert messages["bitmask"] == messages["reference"]
+        with pytest.raises(CoverageError) as production:
+            generate_block_solution(dag, machine)
+        with oracle.reference_kernel(), pytest.raises(CoverageError) as reference:
+            generate_block_solution(dag, machine)
+        assert str(production.value) == str(reference.value)
 
 
 class TestLoopStatsScoping:
@@ -257,59 +261,57 @@ class TestLoopStatsScoping:
         machine = example_architecture(4)
 
         outer_alone = self._iterations(
-            lambda: generate_block_solution(outer_dag, machine, REFERENCE)
+            lambda: generate_block_solution(outer_dag, machine)
         )
         inner_alone = self._iterations(
-            lambda: generate_block_solution(inner_dag, machine, BITMASK)
+            lambda: generate_block_solution(inner_dag, machine)
         )
 
-        original = cover_module._build_cliques
+        original = cover_module.parallelism_masks
         fired = []
 
-        def nesting_build_cliques(*args, **kwargs):
+        def nesting_parallelism_masks(*args, **kwargs):
             if not fired:
                 fired.append(True)
                 # A full covering run while the outer loop is mid-flight.
-                generate_block_solution(inner_dag, machine, BITMASK)
+                generate_block_solution(inner_dag, machine)
             return original(*args, **kwargs)
 
         monkeypatch.setattr(
-            cover_module, "_build_cliques", nesting_build_cliques
+            cover_module, "parallelism_masks", nesting_parallelism_masks
         )
         combined = self._iterations(
-            lambda: generate_block_solution(outer_dag, machine, REFERENCE)
+            lambda: generate_block_solution(outer_dag, machine)
         )
         assert fired, "the nesting hook never ran"
         assert combined == outer_alone + inner_alone
 
 
 class TestVisitedCap:
-    """The clique recursion's visited memo is capped: past the cap it
+    """The Fig. 8 recursion's visited memo is capped: past the cap it
     stops absorbing new states (a pure prune, so results are unchanged)
     instead of growing without bound."""
 
     def test_tiny_cap_same_cliques(self, monkeypatch):
-        from repro.covering.cliques import (
-            generate_maximal_cliques,
-            generate_maximal_clique_masks,
-        )
+        from repro.covering.cliques import generate_maximal_clique_masks
 
         graph = _graph_for(
             build_wide_dag(6),
             example_architecture(4),
             config=HeuristicConfig(level_window=None, num_assignments=2),
         )
-        matrix, _ = parallelism_matrix(
-            graph, graph.task_ids(), level_window=None
-        )
         rows = parallelism_masks(
             graph, graph.task_ids(), level_window=None
         )
-        unlimited_sets = generate_maximal_cliques(matrix)
-        unlimited_masks = generate_maximal_clique_masks(rows)
+        # A budget below the clique count makes the Fig. 8 recursion
+        # decide which cliques survive the trip.
+        budget = len(generate_maximal_clique_masks(rows)) // 2
+        assert cliques_module._enumerate_clique_masks(rows, budget)[1]
+        unlimited = cliques_module._fig8_clique_masks(rows, None)[0]
+        tripped = generate_maximal_clique_masks(rows, budget)
         monkeypatch.setattr(cliques_module, "_VISITED_LIMIT", 4)
-        assert generate_maximal_cliques(matrix) == unlimited_sets
-        assert generate_maximal_clique_masks(rows) == unlimited_masks
+        assert cliques_module._fig8_clique_masks(rows, None)[0] == unlimited
+        assert generate_maximal_clique_masks(rows, budget) == tripped
 
 
 class TestBlockSolutionMemo:

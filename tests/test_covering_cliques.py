@@ -1,22 +1,20 @@
-"""Tests for the parallelism matrix (Fig. 7) and clique generation
+"""Tests for the parallelism relation (Fig. 7) and clique generation
 (Fig. 8), the level-window heuristic, and constraint legality."""
-
-import numpy as np
-import pytest
 
 from repro.covering import (
     HeuristicConfig,
     TaskGraph,
     TaskKind,
     explore_assignments,
-    generate_maximal_cliques,
-    legalize_cliques,
-    parallelism_matrix,
+    generate_maximal_clique_masks,
+    legalize_clique_masks,
+    parallelism_masks,
 )
 from repro.covering.cliques import is_legal_instruction
 from repro.covering.parallelism import task_levels
 from repro.ir import BlockDAG, Opcode
 from repro.sndag import build_split_node_dag
+from repro.utils.bitset import bits, mask_of
 
 
 def _graph_for(dag, machine, index=0):
@@ -25,35 +23,48 @@ def _graph_for(dag, machine, index=0):
     return TaskGraph(sn, assignments[index])
 
 
+def _parallel(rows, a, b):
+    return bool(rows[a] >> b & 1)
+
+
+def _rows_from_matrix(matrix):
+    """Bitmask rows of a paper-style conflict matrix (0 = parallel)."""
+    return {
+        i: mask_of(j for j, cell in enumerate(row) if cell == 0 and j != i)
+        for i, row in enumerate(matrix)
+    }
+
+
 class TestMatrix:
     def test_diagonal_is_one(self, fig2_dag, arch1):
         graph = _graph_for(fig2_dag, arch1)
-        matrix, _ = parallelism_matrix(graph)
-        assert all(matrix[i, i] == 1 for i in range(matrix.shape[0]))
+        rows = parallelism_masks(graph)
+        assert not any(_parallel(rows, t, t) for t in rows)
 
     def test_symmetric(self, fig2_dag, arch1):
         graph = _graph_for(fig2_dag, arch1)
-        matrix, _ = parallelism_matrix(graph)
-        assert np.array_equal(matrix, matrix.T)
+        rows = parallelism_masks(graph)
+        for a in rows:
+            for b in rows:
+                assert _parallel(rows, a, b) == _parallel(rows, b, a)
 
     def test_same_resource_conflicts(self, fig2_dag, arch1):
         graph = _graph_for(fig2_dag, arch1)
-        matrix, index = parallelism_matrix(graph)
-        for i, task_a in enumerate(index):
-            for j, task_b in enumerate(index):
-                if i != j and (
+        rows = parallelism_masks(graph)
+        for task_a in rows:
+            for task_b in rows:
+                if task_a != task_b and (
                     graph.tasks[task_a].resource
                     == graph.tasks[task_b].resource
                 ):
-                    assert matrix[i, j] == 1
+                    assert not _parallel(rows, task_a, task_b)
 
     def test_dependence_conflicts(self, fig2_dag, arch1):
         graph = _graph_for(fig2_dag, arch1)
-        matrix, index = parallelism_matrix(graph)
-        position = {t: i for i, t in enumerate(index)}
+        rows = parallelism_masks(graph)
         for task_id in graph.task_ids():
             for dependency in graph.tasks[task_id].dependencies():
-                assert matrix[position[task_id], position[dependency]] == 1
+                assert not _parallel(rows, task_id, dependency)
 
     def test_fig7_style_pairs(self, fig2_dag, arch1):
         """The Fig. 7 narrative: an ADD on U3 is parallel with a MUL on
@@ -71,21 +82,20 @@ class TestMatrix:
             if x.unit_of(add) == "U3" and x.unit_of(mul) == "U2"
         )
         graph = TaskGraph(sn, target)
-        matrix, index = parallelism_matrix(graph)
-        position = {t: i for i, t in enumerate(index)}
+        rows = parallelism_masks(graph)
         add_task = next(
             t.task_id for t in graph.tasks.values() if t.op_name == "ADD"
         )
         mul_task = next(
             t.task_id for t in graph.tasks.values() if t.op_name == "MUL"
         )
-        assert matrix[position[add_task], position[mul_task]] == 0
+        assert _parallel(rows, add_task, mul_task)
 
     def test_level_window_adds_conflicts(self, wide_dag, arch1):
         graph = _graph_for(wide_dag, arch1)
-        loose, _ = parallelism_matrix(graph, level_window=None)
-        tight, _ = parallelism_matrix(graph, level_window=0)
-        assert tight.sum() >= loose.sum()
+        loose = parallelism_masks(graph, level_window=None)
+        tight = parallelism_masks(graph, level_window=0)
+        assert all(tight[t] & ~loose[t] == 0 for t in loose)
 
     def test_task_levels_bounds(self, fig2_dag, arch1):
         graph = _graph_for(fig2_dag, arch1)
@@ -100,75 +110,68 @@ class TestCliqueGeneration:
     def test_fig7_matrix_produces_fig8_cliques(self):
         """The paper's exact example: nodes N2, N9, N10, N14 with the
         Fig. 7 matrix yield cliques (N2), (N10,N9), (N10,N14)."""
-        # Index order: N2, N9, N10, N14 (matrix copied from Fig. 7).
-        matrix = np.array(
+        # Index order: N2, N9, N10, N14 (matrix copied from Fig. 7; the
+        # paper leaves the diagonal at 0, a node is never self-parallel).
+        rows = _rows_from_matrix(
             [
                 [0, 1, 1, 1],
                 [1, 0, 0, 1],
                 [1, 0, 0, 0],
                 [1, 1, 0, 0],
-            ],
-            dtype=np.uint8,
+            ]
         )
-        # The paper's convention stores 0 on the diagonal implicitly; our
-        # generator expects a 1-diagonal conflict matrix.
-        np.fill_diagonal(matrix, 1)
-        cliques = generate_maximal_cliques(matrix)
+        cliques = generate_maximal_clique_masks(rows)
         named = {
-            frozenset({0}): "C1",
-            frozenset({1, 2}): "C2",
-            frozenset({2, 3}): "C3",
+            mask_of({0}): "C1",
+            mask_of({1, 2}): "C2",
+            mask_of({2, 3}): "C3",
         }
         assert set(cliques) == set(named)
 
     def test_all_parallel_single_clique(self):
-        matrix = np.ones((4, 4), dtype=np.uint8) - np.ones(4, dtype=np.uint8)
-        matrix = np.zeros((4, 4), dtype=np.uint8)
-        np.fill_diagonal(matrix, 1)
-        cliques = generate_maximal_cliques(matrix)
-        assert cliques == [frozenset({0, 1, 2, 3})]
+        rows = _rows_from_matrix([[0] * 4 for _ in range(4)])
+        assert generate_maximal_clique_masks(rows) == [mask_of({0, 1, 2, 3})]
 
     def test_all_conflicting_singletons(self):
-        matrix = np.ones((3, 3), dtype=np.uint8)
-        cliques = generate_maximal_cliques(matrix)
-        assert set(cliques) == {
-            frozenset({0}),
-            frozenset({1}),
-            frozenset({2}),
+        rows = _rows_from_matrix([[1] * 3 for _ in range(3)])
+        assert set(generate_maximal_clique_masks(rows)) == {
+            mask_of({0}),
+            mask_of({1}),
+            mask_of({2}),
         }
 
     def test_every_node_covered(self, fig2_dag, arch1):
         graph = _graph_for(fig2_dag, arch1)
-        matrix, index = parallelism_matrix(graph)
-        cliques = generate_maximal_cliques(matrix)
-        covered = set().union(*cliques)
-        assert covered == set(range(len(index)))
+        rows = parallelism_masks(graph)
+        covered = 0
+        for clique in generate_maximal_clique_masks(rows):
+            covered |= clique
+        assert covered == mask_of(graph.task_ids())
 
     def test_no_clique_is_subset_of_another(self, fig2_dag, arch1):
         graph = _graph_for(fig2_dag, arch1)
-        matrix, _ = parallelism_matrix(graph)
-        cliques = generate_maximal_cliques(matrix)
+        cliques = generate_maximal_clique_masks(parallelism_masks(graph))
         for clique in cliques:
             assert not any(
-                clique < other for other in cliques if other != clique
+                clique & ~other == 0 for other in cliques if other != clique
             )
 
     def test_cliques_are_actual_cliques(self, wide_dag, arch1):
         graph = _graph_for(wide_dag, arch1)
-        matrix, _ = parallelism_matrix(graph)
-        for clique in generate_maximal_cliques(matrix):
-            members = sorted(clique)
+        rows = parallelism_masks(graph)
+        for clique in generate_maximal_clique_masks(rows):
+            members = bits(clique)
             for i in members:
                 for j in members:
                     if i != j:
-                        assert matrix[i, j] == 0
+                        assert _parallel(rows, i, j)
 
     def test_level_window_reduces_clique_count(self, wide_dag, arch1):
         graph = _graph_for(wide_dag, arch1)
-        loose, _ = parallelism_matrix(graph, level_window=None)
-        tight, _ = parallelism_matrix(graph, level_window=0)
-        assert len(generate_maximal_cliques(tight)) <= len(
-            generate_maximal_cliques(loose)
+        loose = parallelism_masks(graph, level_window=None)
+        tight = parallelism_masks(graph, level_window=0)
+        assert len(generate_maximal_clique_masks(tight)) <= len(
+            generate_maximal_clique_masks(loose)
         )
 
 
@@ -203,21 +206,23 @@ class TestLegality:
 
     def test_legalize_splits_violating_clique(self, arch_mac):
         graph, *_ = self._constrained_graph(arch_mac)
-        add_tasks = frozenset(
+        add_tasks = mask_of(
             t.task_id
             for t in graph.tasks.values()
             if t.kind is TaskKind.OP
         )
-        legal = legalize_cliques(graph, [add_tasks], arch_mac)
+        legal = legalize_clique_masks(graph, [add_tasks], arch_mac)
         assert legal
         for clique in legal:
-            assert is_legal_instruction(graph, clique, arch_mac)
-            assert clique < add_tasks
+            assert is_legal_instruction(
+                graph, frozenset(bits(clique)), arch_mac
+            )
+            assert clique != add_tasks and clique & ~add_tasks == 0
 
     def test_no_constraints_passthrough(self, fig2_dag, arch1):
         graph = _graph_for(fig2_dag, arch1)
-        cliques = [frozenset(graph.task_ids()[:2])]
-        assert legalize_cliques(graph, cliques, arch1) == cliques
+        cliques = [mask_of(graph.task_ids()[:2])]
+        assert legalize_clique_masks(graph, cliques, arch1) == cliques
 
     def test_wildcard_term_matches_transfers(self, arch_mac):
         graph, *_ = self._constrained_graph(arch_mac)

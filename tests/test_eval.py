@@ -10,6 +10,7 @@ from repro.eval import (
     format_comparison,
     format_rows,
     run_experiment,
+    run_table1,
     run_table2,
     workload,
 )
@@ -105,6 +106,22 @@ class TestRunExperiment:
             validate=False,
         )
         assert scarce.aviv >= plenty.aviv
+
+
+class TestSplitNodeDagColumn:
+    """The paper's "SN-DAG #Nodes" column: the node counts of the eager
+    construction, which the lazily built DAG reports through
+    ``paper_node_count``."""
+
+    def test_table1_counts(self):
+        rows = run_table1(with_optimal=False)
+        assert [r.split_node_nodes for r in rows] == [
+            47, 73, 60, 98, 92, 98, 92,
+        ]
+
+    def test_table2_counts(self):
+        rows = run_table2(with_optimal=False)
+        assert [r.split_node_nodes for r in rows] == [28, 41, 32, 54, 51]
 
 
 class TestReporting:

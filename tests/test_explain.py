@@ -2,8 +2,8 @@
 
 The contract under test is threefold: journaling observes without
 perturbing (schedules identical with journaling on or off), journals
-are deterministic (byte-identical across repeated runs *and* across
-the reference/bitmask covering kernels), and the report explains the
+are deterministic (byte-identical across repeated runs *and* against
+the test-only reference covering oracle), and the report explains the
 acceptance example — for the Fig. 6 workload every covering step names
 the winning clique with its lookahead estimate and, whenever more than
 one clique was feasible, at least one losing alternative.
@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 from conftest import build_fig6_dag
+from reference_kernel import reference_kernel
 
 from repro.covering.config import HeuristicConfig
 from repro.explain import (
@@ -101,8 +102,9 @@ class TestDeterminism:
         )
 
     def test_kernels_byte_identical(self, arch_fig6):
-        reference, _ = _explain(FIR4, arch_fig6, clique_kernel="reference")
-        bitmask, _ = _explain(FIR4, arch_fig6, clique_kernel="bitmask")
+        with reference_kernel():
+            reference, _ = _explain(FIR4, arch_fig6)
+        bitmask, _ = _explain(FIR4, arch_fig6)
         assert json.dumps(reference, sort_keys=True) == json.dumps(
             bitmask, sort_keys=True
         )
@@ -110,8 +112,9 @@ class TestDeterminism:
     @pytest.mark.parametrize("machine_key", ["arch1", "dualbus", "mac"])
     def test_kernels_byte_identical_across_machines(self, machine_key):
         machine = BUILTIN_MACHINES[machine_key]()
-        reference, _ = _explain(FIR4, machine, clique_kernel="reference")
-        bitmask, _ = _explain(FIR4, machine, clique_kernel="bitmask")
+        with reference_kernel():
+            reference, _ = _explain(FIR4, machine)
+        bitmask, _ = _explain(FIR4, machine)
         assert json.dumps(reference, sort_keys=True) == json.dumps(
             bitmask, sort_keys=True
         )

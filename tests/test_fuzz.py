@@ -10,7 +10,9 @@ vacuously reporting OK.
 
 from __future__ import annotations
 
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -36,6 +38,8 @@ from repro.isdl.parser import parse_machine
 from repro.isdl.writer import machine_to_isdl
 
 pytestmark = pytest.mark.fuzz
+
+CORPUS = Path(__file__).parent / "corpus"
 
 
 class TestGenerators:
@@ -257,3 +261,21 @@ class TestCli:
         captured = capsys.readouterr()
         assert code == 0
         assert "outcome" in captured.out
+
+    def test_replay_rejects_unknown_config_field(self, capsys, tmp_path):
+        # A reproducer written by a build with a config field this one
+        # lacks is bad input, not a compiler crash.
+        from repro.cli import main
+
+        data = json.loads((CORPUS / "gen-00.json").read_text())
+        data["config"]["clique_kernel"] = "reference"
+        path = tmp_path / "stale.json"
+        path.write_text(json.dumps(data))
+        code = main(["fuzz", "--replay", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert f"cannot replay {path}" in captured.err
+        assert "'clique_kernel'" in captured.err
+        assert "REGRESSION" not in captured.err
+        with pytest.raises(ValueError, match="clique_kernel"):
+            load_case(path)

@@ -2,11 +2,12 @@
 
 Three canonical programs — the paper's Fig. 6 block on the Fig. 6
 machine file plus two frozen corpus reproducers on their own machines —
-are compiled under BOTH clique kernels and compared word-for-word
-against checked-in golden schedules (``tests/golden/*.json``).  The
-schedules must be bit-identical across kernels *and* across time: any
-change to covering, scheduling, spilling, or peephole that moves a slot
-shows up as a readable JSON diff instead of a silent drift.
+are compiled with the production covering loop and with the test-only
+reference oracle, and compared word-for-word against checked-in golden
+schedules (``tests/golden/*.json``).  The schedules must be
+bit-identical between the two *and* across time: any change to
+covering, scheduling, spilling, or peephole that moves a slot shows up
+as a readable JSON diff instead of a silent drift.
 
 Regenerate after an intentional change with::
 
@@ -31,11 +32,11 @@ from repro.isdl import parse_machine
 from repro.verify import verify_function
 
 from conftest import build_fig6_dag, single_block_function
+from reference_kernel import KERNELS
 
 REPO = Path(__file__).parent.parent
 GOLDEN_DIR = Path(__file__).parent / "golden"
 CORPUS_DIR = Path(__file__).parent / "corpus"
-KERNELS = ("bitmask", "reference")
 
 #: Fixed small exploration budget: goldens pin the *output* for one
 #: configuration; search-width sweeps belong to the hotpath suite.
@@ -53,10 +54,10 @@ def _load_program(name):
     return compile_source(case.source), parse_machine(case.machine_isdl)
 
 
-def _canonical(function, machine, kernel):
-    """Compile under ``kernel`` and canonicalise every block schedule:
-    per-cycle sorted task descriptions plus spill/reload counts."""
-    config = HeuristicConfig.default().with_(clique_kernel=kernel, **CONFIG)
+def _canonical(function, machine):
+    """Compile and canonicalise every block schedule: per-cycle sorted
+    task descriptions plus spill/reload counts."""
+    config = HeuristicConfig.default().with_(**CONFIG)
     compiled = compile_function(function, machine, config)
     blocks = {}
     for block_name, block in compiled.blocks.items():
@@ -80,8 +81,9 @@ def _canonical(function, machine, kernel):
 def test_golden_schedule(name):
     function, machine = _load_program(name)
     canonical = {}
-    for kernel in KERNELS:
-        compiled, blocks = _canonical(function, machine, kernel)
+    for kernel, context in KERNELS:
+        with context():
+            compiled, blocks = _canonical(function, machine)
         # Golden schedules must also certify: the validator is the
         # independent witness that the pinned schedule is *legal*, not
         # just reproducible.
@@ -91,7 +93,7 @@ def test_golden_schedule(name):
         )
         canonical[kernel] = blocks
     assert canonical["bitmask"] == canonical["reference"], (
-        f"{name}: kernels disagree on the schedule"
+        f"{name}: production and the reference oracle disagree"
     )
     path = GOLDEN_DIR / f"{name}.json"
     if os.environ.get("REPRO_REGEN_GOLDEN"):

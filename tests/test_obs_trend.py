@@ -47,8 +47,7 @@ BENCHES = {
                 "workload": "sop8",
                 "machine": "arch1_r4",
                 "metrics": {"instructions": 30},
-                "identical": True,
-                "speedup": 2.5,
+                "wall_s": 0.5,
             }
         ]
     },
@@ -68,8 +67,7 @@ BENCHES = {
                 "workload": "fir4",
                 "machine": "fig6",
                 "lazy_transfer_nodes": 10,
-                "identical": True,
-                "build_speedup": 1.4,
+                "lazy_build_s": 0.01,
             }
         ]
     },
@@ -98,7 +96,7 @@ class TestCollect:
         assert metrics["codegen.fir4.arch1_r4.instructions"] == {
             "value": 20, "direction": "min", "tolerance": 0.0, "gate": True,
         }
-        assert metrics["cover.sop8.arch1_r4.identical"]["value"] == 1
+        assert metrics["cover.sop8.arch1_r4.instructions"]["value"] == 30
         assert metrics["serve.zipf.warm_hit_rate"]["direction"] == "max"
         assert metrics["optimal.summary.gap_cycles"]["direction"] == "min"
         assert metrics["explore.totals.workload_failures"]["direction"] == "min"
@@ -106,12 +104,15 @@ class TestCollect:
 
     def test_timing_metrics_do_not_gate(self, bench_root):
         metrics = collect_current_metrics(bench_root)
-        for name in (
-            "cover.sop8.arch1_r4.speedup",
-            "serve.zipf.speedup",
-            "sndag.fir4.fig6.build_speedup",
-        ):
-            assert metrics[name]["gate"] is False
+        assert metrics["serve.zipf.speedup"]["gate"] is False
+        # Covering and Split-Node DAG timings stay in their artifacts
+        # (absolute seconds) and are not trend metrics at all.
+        assert not [
+            name
+            for name in metrics
+            if name.startswith(("cover.", "sndag."))
+            and not name.endswith(("instructions", "lazy_transfer_nodes"))
+        ]
 
     def test_missing_artifacts_contribute_nothing(self, tmp_path):
         assert collect_current_metrics(tmp_path) == {}
@@ -197,12 +198,12 @@ class TestCompare:
     def test_ungated_drop_is_info(self, bench_root):
         baseline = self._baseline(bench_root)
         current = collect_current_metrics(bench_root)
-        current["cover.sop8.arch1_r4.speedup"]["value"] = 0.1
+        current["serve.zipf.speedup"]["value"] = 0.1
         report = compare(baseline, current)
         assert report["ok"]
         row = next(
             r for r in report["rows"]
-            if r["metric"] == "cover.sop8.arch1_r4.speedup"
+            if r["metric"] == "serve.zipf.speedup"
         )
         assert row["status"] == "info"
 

@@ -253,7 +253,6 @@ class TestBenchSchema:
             "workload": "Ex1",
             "machine": "arch1_r4",
             "registers": 4,
-            "kernel": "bitmask",
             "heuristic_cost": 7,
             "optimal_cost": 7,
             "gap": 0,

@@ -6,15 +6,15 @@ reference implementations over randomly generated inputs.
 
 import itertools
 
-import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.covering.cliques import generate_maximal_cliques
+from repro.covering.cliques import generate_maximal_clique_masks
 from repro.errors import RegisterAllocationError
 from repro.regalloc.coloring import color_graph
 from repro.regalloc.interference import InterferenceGraph
 from repro.regalloc.liveness import LiveRange
+from repro.utils.bitset import bits, mask_of
 
 
 # ----------------------------------------------------------------------
@@ -22,51 +22,59 @@ from repro.regalloc.liveness import LiveRange
 # ----------------------------------------------------------------------
 
 
-def _brute_force_maximal_cliques(matrix: np.ndarray):
+def _is_clique(rows, clique) -> bool:
+    return all(
+        rows[i] >> j & 1 for i, j in itertools.combinations(bits(clique), 2)
+    )
+
+
+def _brute_force_maximal_cliques(rows):
     """All maximal cliques by subset enumeration (n <= ~12)."""
-    size = matrix.shape[0]
-    nodes = range(size)
-    cliques = []
-    for r in range(1, size + 1):
-        for subset in itertools.combinations(nodes, r):
-            if all(
-                matrix[i, j] == 0
-                for i, j in itertools.combinations(subset, 2)
-            ):
-                cliques.append(frozenset(subset))
-    maximal = [
-        c for c in cliques if not any(c < other for other in cliques)
+    cliques = [
+        mask_of(subset)
+        for r in range(1, len(rows) + 1)
+        for subset in itertools.combinations(sorted(rows), r)
+        if _is_clique(rows, mask_of(subset))
     ]
-    return set(maximal)
+    return {
+        c
+        for c in cliques
+        if not any(c != other and c & ~other == 0 for other in cliques)
+    }
 
 
 @st.composite
-def conflict_matrices(draw):
+def parallelism_rows(draw):
+    """Bitmask parallelism rows over 1–8 nodes, any edge set."""
     size = draw(st.integers(1, 8))
-    matrix = np.ones((size, size), dtype=np.uint8)
+    rows = {node: 0 for node in range(size)}
     for i in range(size):
         for j in range(i + 1, size):
-            parallel = draw(st.booleans())
-            if parallel:
-                matrix[i, j] = 0
-                matrix[j, i] = 0
-    return matrix
+            if draw(st.booleans()):
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+    return rows
+
+
+def _covered(cliques):
+    covered = 0
+    for clique in cliques:
+        covered |= clique
+    return covered
 
 
 @settings(max_examples=120, deadline=None)
-@given(conflict_matrices())
-def test_clique_generator_matches_brute_force(matrix):
-    ours = set(generate_maximal_cliques(matrix))
-    reference = _brute_force_maximal_cliques(matrix)
-    assert ours == reference
+@given(parallelism_rows())
+def test_clique_generator_matches_brute_force(rows):
+    ours = set(generate_maximal_clique_masks(rows))
+    assert ours == _brute_force_maximal_cliques(rows)
 
 
 @settings(max_examples=60, deadline=None)
-@given(conflict_matrices())
-def test_cliques_cover_every_node(matrix):
-    cliques = generate_maximal_cliques(matrix)
-    covered = set().union(*cliques)
-    assert covered == set(range(matrix.shape[0]))
+@given(parallelism_rows())
+def test_cliques_cover_every_node(rows):
+    cliques = generate_maximal_clique_masks(rows)
+    assert _covered(cliques) == mask_of(rows)
 
 
 # ----------------------------------------------------------------------
@@ -255,24 +263,17 @@ def test_binary_round_trip_random_programs(pair):
 # ----------------------------------------------------------------------
 
 
-def _is_clique(matrix: np.ndarray, clique) -> bool:
-    return all(
-        matrix[i, j] == 0 for i, j in itertools.combinations(clique, 2)
-    )
-
-
 @settings(max_examples=60, deadline=None)
-@given(conflict_matrices(), st.integers(1, 4))
-def test_clique_budget_still_covers_every_node(matrix, budget):
-    cliques = generate_maximal_cliques(matrix, max_cliques=budget)
-    covered = set().union(*cliques)
-    assert covered == set(range(matrix.shape[0]))
-    reference = _brute_force_maximal_cliques(matrix)
+@given(parallelism_rows(), st.integers(1, 4))
+def test_clique_budget_still_covers_every_node(rows, budget):
+    cliques = generate_maximal_clique_masks(rows, max_cliques=budget)
+    assert _covered(cliques) == mask_of(rows)
+    reference = _brute_force_maximal_cliques(rows)
     for clique in cliques:
         # Every returned group is a genuine clique, and is either one of
         # the true maximal cliques or a singleton top-up.
-        assert _is_clique(matrix, clique)
-        assert clique in reference or len(clique) == 1
+        assert _is_clique(rows, clique)
+        assert clique in reference or len(bits(clique)) == 1
 
 
 def test_tiny_budget_tops_up_with_singletons():
@@ -280,15 +281,15 @@ def test_tiny_budget_tops_up_with_singletons():
     # 2-cliques; budget 1 keeps one of them and must cover the other
     # four nodes with singletons.
     size = 6
-    matrix = np.ones((size, size), dtype=np.uint8)
+    rows = {node: 0 for node in range(size)}
     for i in range(size - 1):
-        matrix[i, i + 1] = 0
-        matrix[i + 1, i] = 0
-    cliques = generate_maximal_cliques(matrix, max_cliques=1)
-    assert set().union(*cliques) == set(range(size))
-    pairs = [c for c in cliques if len(c) == 2]
-    singletons = [c for c in cliques if len(c) == 1]
+        rows[i] |= 1 << (i + 1)
+        rows[i + 1] |= 1 << i
+    cliques = generate_maximal_clique_masks(rows, max_cliques=1)
+    assert _covered(cliques) == mask_of(range(size))
+    pairs = [c for c in cliques if len(bits(c)) == 2]
+    singletons = [c for c in cliques if len(bits(c)) == 1]
     assert len(pairs) == 1
     assert len(singletons) == size - 2
-    unbudgeted = set(generate_maximal_cliques(matrix))
-    assert unbudgeted == _brute_force_maximal_cliques(matrix)
+    unbudgeted = set(generate_maximal_clique_masks(rows))
+    assert unbudgeted == _brute_force_maximal_cliques(rows)

@@ -142,17 +142,21 @@ EXAMPLES = {
 
 @pytest.mark.parametrize("example", sorted(EXAMPLES))
 @pytest.mark.parametrize("machine_name", ["arch1", "fig6"])
-@pytest.mark.parametrize("kernel", ["bitmask", "reference"])
+@pytest.mark.parametrize(
+    "kernel",
+    ["bitmask", pytest.param("reference", marks=pytest.mark.reference_kernel)],
+)
 def test_disk_hit_bit_identical_and_validator_clean(
     example, machine_name, kernel, tmp_path, repo_root, arch1, arch_fig6
 ):
-    """The differential property: example × machine × clique kernel,
-    a cache-hit compile must equal the cold compile byte for byte and
-    pass translation validation."""
+    """The differential property: example × machine × covering loop
+    (production, or the test-only reference oracle), a cache-hit compile
+    must equal the cold compile byte for byte and pass translation
+    validation."""
     from repro.asmgen.program import compile_function
 
     machine = {"arch1": arch1, "fig6": arch_fig6}[machine_name]
-    config = HeuristicConfig.default().with_(clique_kernel=kernel)
+    config = HeuristicConfig.default()
     function = compile_source((repo_root / EXAMPLES[example]).read_text())
     cache_dir = str(tmp_path / "cache")
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.covering import generate_block_solution
 from repro.errors import UnmappableOperationError
 from repro.ir import BlockDAG, Opcode
 from repro.isdl import parse_machine
@@ -49,7 +50,7 @@ class TestFig4Structure:
         mul1 = dag.operation(Opcode.MUL, (a, b))
         mul2 = dag.operation(Opcode.MUL, (a, c))
         dag.store("x", dag.operation(Opcode.SUB, (mul1, mul2)))
-        sn = build_split_node_dag(dag, arch1)
+        sn = generate_block_solution(dag, arch1).sn
         transfers = [
             n
             for n in sn.nodes.values()
@@ -57,11 +58,12 @@ class TestFig4Structure:
             and n.original_id == a
         ]
         destinations = [t.destination for t in transfers]
+        assert destinations
         assert len(destinations) == len(set(destinations))
 
     def test_smaller_on_architecture_two(self, fig2_dag, arch1, arch2):
-        big = build_split_node_dag(fig2_dag, arch1).stats()["total"]
-        small = build_split_node_dag(fig2_dag, arch2).stats()["total"]
+        big = build_split_node_dag(fig2_dag, arch1).paper_node_count()
+        small = build_split_node_dag(fig2_dag, arch2).paper_node_count()
         assert small < big  # Table II vs Table I shape
 
     def test_unmappable_operation_raises(self, fig2_dag, arch1):
@@ -78,7 +80,7 @@ class TestFig4Structure:
                 assert set(node.children) == set(sn.alternatives_of[op_id])
 
     def test_render_text_and_dot(self, fig2_dag, arch1):
-        sn = build_split_node_dag(fig2_dag, arch1)
+        sn = generate_block_solution(fig2_dag, arch1).sn
         text = format_split_node_dag(sn)
         assert "split" in text and "xfer" in text
         dot = split_node_dag_to_dot(sn)
@@ -96,7 +98,8 @@ class TestTransferChainReconvergence:
     """Regression: a reconverging chain arriving at a shared TRANSFER
     node with a *different* predecessor used to be silently dropped —
     the ``_transfer_index`` hit reused the node without merging the new
-    ``below`` child."""
+    ``below`` child.  Chains are built here along every minimal path, as
+    the paper's eager expansion did."""
 
     @pytest.fixture
     def shared_final_hop_machine(self):
@@ -119,6 +122,8 @@ class TestTransferChainReconvergence:
         dag.store("x", dag.operation(Opcode.ADD, (a, b)))
         sn = build_split_node_dag(dag, shared_final_hop_machine)
         for leaf in (a, b):
+            for path in sn.transfer_db.paths("DM", "R2"):
+                sn.transfer_chain(leaf, path, sn.terminal_node(leaf))
             final_hops = [
                 n
                 for n in sn.nodes.values()
@@ -137,6 +142,8 @@ class TestTransferChainReconvergence:
 class TestMultiHopTransfers:
     def test_two_hop_chains_exist(self, fig2_dag, arch_dual):
         sn = build_split_node_dag(fig2_dag, arch_dual)
+        for leaf in fig2_dag.leaf_nodes():
+            sn.materialize_transfer(leaf, "DM", "RF3")
         # Reaching RF3 from memory requires an intermediate hop.
         hops_to_rf3 = [
             n

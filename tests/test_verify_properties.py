@@ -3,8 +3,7 @@
 Two halves, both marked ``verify``:
 
 - **Certification sweep**: every corpus program is compiled against all
-  bundled machine files under both clique kernels; every combination the
-  engine can cover must certify with zero violations.  Machines that
+  bundled machine files; every combination the engine can cover must certify with zero violations.  Machines that
   genuinely cannot implement a program (missing opcodes, too few
   connections) are coverage-skips, not failures — the same contract the
   ``repro verify`` CLI reports.
@@ -35,7 +34,6 @@ from repro.verify import ViolationKind, verify_function, verify_solution
 REPO = Path(__file__).parent.parent
 CORPUS_FILES = sorted((Path(__file__).parent / "corpus").glob("*.json"))
 MACHINE_FILES = sorted((REPO / "machines").glob("*.isdl"))
-KERNELS = ("bitmask", "reference")
 
 #: Small exploration budgets keep the 320-combination sweep fast; the
 #: validator checks the *output*, so search width is irrelevant to it.
@@ -61,8 +59,8 @@ def _corpus_source(path: Path) -> str:
     return load_case(path).source
 
 
-def _config(kernel: str = "bitmask") -> HeuristicConfig:
-    return HeuristicConfig.default().with_(clique_kernel=kernel, **SMALL)
+def _config() -> HeuristicConfig:
+    return HeuristicConfig.default().with_(**SMALL)
 
 
 def _solved(dag: BlockDAG, machine):
@@ -100,23 +98,16 @@ def _two_products_dag() -> BlockDAG:
 def test_corpus_certifies_on_every_machine(corpus_path, machine_path):
     machine = _machine(machine_path)
     function = compile_source(_corpus_source(corpus_path))
-    certified = 0
-    for kernel in KERNELS:
-        try:
-            compiled = compile_function(function, machine, _config(kernel))
-        except CoverageError:
-            continue  # machine genuinely cannot implement this program
-        violations = [
-            violation
-            for report in verify_function(compiled)
-            for violation in report.violations
-        ]
-        assert not violations, "\n".join(
-            v.describe() for v in violations
-        )
-        certified += 1
-    if not certified:
+    try:
+        compiled = compile_function(function, machine, _config())
+    except CoverageError:
         pytest.skip(f"{machine.name} cannot cover {corpus_path.stem}")
+    violations = [
+        violation
+        for report in verify_function(compiled)
+        for violation in report.violations
+    ]
+    assert not violations, "\n".join(v.describe() for v in violations)
 
 
 @pytest.mark.verify
