@@ -16,14 +16,8 @@ the whole pipeline is deterministic.
 
 from __future__ import annotations
 
-import json
-
-from repro.telemetry import (
-    collect_codegen_bench,
-    make_bench_report,
-    validate_bench_report,
-    write_bench_report,
-)
+from repro.artifacts import read_artifact, validate, write_artifact
+from repro.telemetry.bench import BENCH_SCHEMA, collect_codegen_bench
 
 from conftest import REPO_ROOT, RESULTS_DIR, full_mode, write_result
 
@@ -37,10 +31,10 @@ def test_bench_codegen_profile(benchmark, results_dir):
         lambda: collect_codegen_bench(names), rounds=1, iterations=1
     )
     path = results_dir / "BENCH_codegen.json"
-    write_bench_report(str(path), entries)
-    write_bench_report(str(REPO_ROOT / "BENCH_codegen.json"), entries)
-    payload = json.loads(path.read_text())
-    validate_bench_report(payload)  # round-trips schema-valid
+    payload = {"schema": BENCH_SCHEMA, "entries": entries}
+    write_artifact(path, payload)
+    write_artifact(REPO_ROOT / "BENCH_codegen.json", payload)
+    read_artifact(path, BENCH_SCHEMA)  # round-trips schema-valid
 
     lines = ["workload  instrs  spills  cover.iter  cliques  wall ms"]
     for entry in entries:
@@ -90,4 +84,4 @@ def test_bench_codegen_counters_deterministic(benchmark):
     c1 = first[0]["report"]["counters"]
     c2 = second[0]["report"]["counters"]
     assert c1 == c2
-    validate_bench_report(make_bench_report(first))
+    validate({"schema": BENCH_SCHEMA, "entries": first}, BENCH_SCHEMA)

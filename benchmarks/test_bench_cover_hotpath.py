@@ -16,14 +16,8 @@ the file on every push.
 
 from __future__ import annotations
 
-import json
-
-from repro.telemetry import (
-    collect_cover_bench,
-    make_cover_report,
-    validate_cover_report,
-    write_cover_report,
-)
+from repro.artifacts import read_artifact, validate, write_artifact
+from repro.telemetry.bench import COVER_BENCH_SCHEMA, collect_cover_bench
 
 from conftest import REPO_ROOT, full_mode, write_result
 
@@ -34,10 +28,10 @@ def test_bench_cover_hotpath(benchmark, results_dir):
         lambda: collect_cover_bench(repeats=repeats), rounds=1, iterations=1
     )
     path = results_dir / "BENCH_cover.json"
-    write_cover_report(str(path), entries)
-    write_cover_report(str(REPO_ROOT / "BENCH_cover.json"), entries)
-    payload = json.loads(path.read_text())
-    validate_cover_report(payload)  # round-trips schema-valid
+    payload = {"schema": COVER_BENCH_SCHEMA, "entries": entries}
+    write_artifact(path, payload)
+    write_artifact(REPO_ROOT / "BENCH_cover.json", payload)
+    read_artifact(path, COVER_BENCH_SCHEMA)  # round-trips schema-valid
 
     lines = ["workload       heavy  wall ms  instructions  spills"]
     for entry in entries:
@@ -73,6 +67,6 @@ def test_bench_cover_report_shape(benchmark):
         lambda: collect_cover_bench(["sop8-nowin"]), rounds=1, iterations=1
     )
     assert len(entries) == 1
-    payload = make_cover_report(entries)
-    validate_cover_report(payload)
+    payload = {"schema": COVER_BENCH_SCHEMA, "entries": entries}
+    validate(payload, COVER_BENCH_SCHEMA)
     assert entries[0]["wall_s"] > 0

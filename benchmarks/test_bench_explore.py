@@ -15,15 +15,8 @@ change, not noise.
 
 from __future__ import annotations
 
-import json
-
-from repro.explore import (
-    explore_report_bytes,
-    format_explore_table,
-    run_explore,
-    validate_explore_report,
-    write_explore_report,
-)
+from repro.artifacts import read_artifact, write_artifact
+from repro.explore import EXPLORE_SCHEMA, format_explore_table, run_explore
 
 from conftest import REPO_ROOT, full_mode, write_result
 
@@ -44,11 +37,10 @@ def test_bench_explore(benchmark, results_dir, tmp_path):
         iterations=1,
     )
     path = results_dir / "BENCH_explore.json"
-    write_explore_report(str(path), payload)
-    write_explore_report(str(REPO_ROOT / "BENCH_explore.json"), payload)
-    assert json.loads(path.read_text()) == payload  # round-trips
-
-    validate_explore_report(payload)
+    write_artifact(path, payload)
+    write_artifact(REPO_ROOT / "BENCH_explore.json", payload)
+    # Round-trips, schema-valid.
+    assert read_artifact(path, EXPLORE_SCHEMA) == payload
     totals = payload["totals"]
     assert totals["candidates"] == population
     assert totals["frontier"] >= 3, "frontier should be non-trivial"
@@ -62,7 +54,8 @@ def test_bench_explore(benchmark, results_dir, tmp_path):
         workers=workers,
         cache_dir=str(tmp_path / "cache"),
     )
-    assert explore_report_bytes(again) == explore_report_bytes(payload)
+    write_artifact(tmp_path / "again.json", again)
+    assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 
     write_result(
         "explore_frontier.txt",

@@ -18,17 +18,25 @@ seconds each.
 
 from __future__ import annotations
 
-import json
-
+from repro.artifacts import read_artifact, validate, write_artifact
 from repro.optimal import (
     GAP_WORKLOADS,
+    OPTIMAL_BENCH_SCHEMA,
     collect_optimal_bench,
     format_gap_table,
-    validate_optimal_report,
-    write_optimal_report,
+    summarize_optimal_bench,
 )
 
 from conftest import REPO_ROOT, full_mode, write_result
+
+def _report(entries):
+    """The ``repro/bench-optimal/v1`` envelope, totals included."""
+    return {
+        "schema": OPTIMAL_BENCH_SCHEMA,
+        "summary": summarize_optimal_bench(entries),
+        "entries": entries,
+    }
+
 
 #: Smoke rows: everything at 4 registers solves in well under a second.
 SMOKE_WORKLOADS = [row for row in GAP_WORKLOADS if row[2] >= 4]
@@ -42,10 +50,10 @@ def test_bench_optimal_gap(benchmark, results_dir):
         iterations=1,
     )
     path = results_dir / "BENCH_optimal.json"
-    write_optimal_report(str(path), entries)
-    write_optimal_report(str(REPO_ROOT / "BENCH_optimal.json"), entries)
-    payload = json.loads(path.read_text())
-    validate_optimal_report(payload)  # round-trips schema-valid
+    payload = _report(entries)
+    write_artifact(path, payload)
+    write_artifact(REPO_ROOT / "BENCH_optimal.json", payload)
+    read_artifact(path, OPTIMAL_BENCH_SCHEMA)  # round-trips schema-valid
 
     write_result("optimal_gap.txt", format_gap_table(entries))
 
@@ -74,10 +82,8 @@ def test_bench_optimal_report_shape(benchmark):
         iterations=1,
     )
     assert len(entries) == 1
-    from repro.optimal import make_optimal_report
-
-    payload = make_optimal_report(entries)
-    validate_optimal_report(payload)
+    payload = _report(entries)
+    validate(payload, OPTIMAL_BENCH_SCHEMA)
     entry = entries[0]
     assert entry["proven"]
     assert entry["cpu_seconds"] > 0

@@ -17,14 +17,8 @@ file on every push.
 
 from __future__ import annotations
 
-import json
-
-from repro.serve import (
-    collect_serve_bench,
-    make_serve_report,
-    validate_serve_report,
-    write_serve_report,
-)
+from repro.artifacts import read_artifact, validate, write_artifact
+from repro.serve.bench import SERVE_BENCH_SCHEMA, collect_serve_bench
 
 from conftest import REPO_ROOT, full_mode, write_result
 
@@ -37,10 +31,10 @@ def test_bench_serve(benchmark, results_dir):
         iterations=1,
     )
     path = results_dir / "BENCH_serve.json"
-    write_serve_report(str(path), entries)
-    write_serve_report(str(REPO_ROOT / "BENCH_serve.json"), entries)
-    payload = json.loads(path.read_text())
-    validate_serve_report(payload)  # round-trips schema-valid
+    payload = {"schema": SERVE_BENCH_SCHEMA, "entries": entries}
+    write_artifact(path, payload)
+    write_artifact(REPO_ROOT / "BENCH_serve.json", payload)
+    read_artifact(path, SERVE_BENCH_SCHEMA)  # round-trips schema-valid
 
     lines = [
         "mix               jobs  uniq  cold s  warm s  speedup"
@@ -79,8 +73,8 @@ def test_bench_serve_report_shape(benchmark):
         iterations=1,
     )
     assert len(entries) == 1
-    payload = make_serve_report(entries)
-    validate_serve_report(payload)
+    payload = {"schema": SERVE_BENCH_SCHEMA, "entries": entries}
+    validate(payload, SERVE_BENCH_SCHEMA)
     entry = entries[0]
     assert entry["cold_s"] > 0 and entry["warm_s"] > 0
     assert entry["identical"] is True

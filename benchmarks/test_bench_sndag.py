@@ -14,14 +14,8 @@ push, so a coverage regression shows up in the artifact diff.
 
 from __future__ import annotations
 
-import json
-
-from repro.telemetry import (
-    collect_sndag_bench,
-    make_sndag_report,
-    validate_sndag_report,
-    write_sndag_report,
-)
+from repro.artifacts import read_artifact, validate, write_artifact
+from repro.telemetry.bench import SNDAG_BENCH_SCHEMA, collect_sndag_bench
 
 from conftest import REPO_ROOT, full_mode, write_result
 
@@ -32,10 +26,10 @@ def test_bench_sndag(benchmark, results_dir):
         lambda: collect_sndag_bench(repeats=repeats), rounds=1, iterations=1
     )
     path = results_dir / "BENCH_sndag.json"
-    write_sndag_report(str(path), entries)
-    write_sndag_report(str(REPO_ROOT / "BENCH_sndag.json"), entries)
-    payload = json.loads(path.read_text())
-    validate_sndag_report(payload)  # round-trips schema-valid
+    payload = {"schema": SNDAG_BENCH_SCHEMA, "entries": entries}
+    write_artifact(path, payload)
+    write_artifact(REPO_ROOT / "BENCH_sndag.json", payload)
+    read_artifact(path, SNDAG_BENCH_SCHEMA)  # round-trips schema-valid
 
     lines = [
         "workload  machine    xfer eager  xfer lazy  avoided  folded"
@@ -70,7 +64,7 @@ def test_bench_sndag_report_shape(benchmark):
         lambda: collect_sndag_bench(["Ex1"]), rounds=1, iterations=1
     )
     assert len(entries) == 2  # Ex1 on Architecture I and II
-    payload = make_sndag_report(entries)
-    validate_sndag_report(payload)
+    payload = {"schema": SNDAG_BENCH_SCHEMA, "entries": entries}
+    validate(payload, SNDAG_BENCH_SCHEMA)
     for entry in entries:
         assert entry["lazy_build_s"] > 0

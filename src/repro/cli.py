@@ -402,7 +402,8 @@ def _cmd_profile(args) -> int:
     )
     _emit_profile(session, args, as_json=args.json, stream=sys.stdout)
     if args.bench_out:
-        from repro.telemetry import bench_entry, write_bench_report
+        from repro.artifacts import write_artifact
+        from repro.telemetry.bench import BENCH_SCHEMA, bench_entry
 
         entry = bench_entry(
             args.source,
@@ -413,7 +414,9 @@ def _cmd_profile(args) -> int:
                 "spills": compiled.total_spills,
             },
         )
-        write_bench_report(args.bench_out, [entry])
+        write_artifact(
+            args.bench_out, {"schema": BENCH_SCHEMA, "entries": [entry]}
+        )
         print(f"; wrote bench {args.bench_out}", file=sys.stderr)
     return 0
 
@@ -450,11 +453,13 @@ def _cmd_tables(args) -> int:
 
 
 def _cmd_gap(args) -> int:
+    from repro.artifacts import write_artifact
     from repro.optimal import (
         GAP_WORKLOADS,
+        OPTIMAL_BENCH_SCHEMA,
         collect_optimal_bench,
         format_gap_table,
-        write_optimal_report,
+        summarize_optimal_bench,
     )
 
     table = list(GAP_WORKLOADS)
@@ -473,7 +478,14 @@ def _cmd_gap(args) -> int:
     )
     print(format_gap_table(entries))
     if args.json:
-        write_optimal_report(args.json, entries)
+        write_artifact(
+            args.json,
+            {
+                "schema": OPTIMAL_BENCH_SCHEMA,
+                "summary": summarize_optimal_bench(entries),
+                "entries": entries,
+            },
+        )
         print(f"; wrote {args.json}", file=sys.stderr)
     exhausted = sum(
         1 for entry in entries if entry["solver"]["budget_exhausted"]
@@ -777,22 +789,19 @@ def _batch_jobs(args) -> List:
 def _cmd_batch(args) -> int:
     import json as json_module
 
-    from repro.serve.service import (
-        merge_result_snapshots,
-        run_batch,
-        validate_batch_report,
-    )
+    from repro.artifacts import validate, write_artifact
+    from repro.obs.export import snapshot_export
+    from repro.serve.service import merge_result_snapshots, run_batch
 
     jobs = _batch_jobs(args)
     report = run_batch(
         jobs, cache_dir=args.cache_dir, workers=args.workers
     )
-    validate_batch_report(report)
+    validate(report)
     if args.metrics_out:
-        from repro.obs.export import write_metrics_export
-
-        write_metrics_export(
-            args.metrics_out, merge_result_snapshots(report["results"])
+        write_artifact(
+            args.metrics_out,
+            snapshot_export(merge_result_snapshots(report["results"])),
         )
         print(f"; wrote metrics {args.metrics_out}", file=sys.stderr)
     if args.json:
@@ -829,18 +838,18 @@ def _cmd_batch(args) -> int:
 
 
 def _cmd_explore(args) -> int:
+    import json
     import os
 
+    from repro.artifacts import validate, write_artifact
     from repro.explore import (
         corpus_workloads,
         default_workloads,
-        explore_report_bytes,
         format_explore_table,
         load_base_machines,
         run_explore,
-        validate_explore_report,
-        write_explore_report,
     )
+    from repro.obs.export import snapshot_export
 
     machines_dir = args.machines_dir
     if machines_dir is not None and not os.path.isdir(machines_dir):
@@ -862,15 +871,13 @@ def _cmd_explore(args) -> int:
     table_stream = sys.stderr if args.json == "-" else sys.stdout
     print(format_explore_table(payload), file=table_stream)
     if args.json == "-":
-        validate_explore_report(payload)
-        sys.stdout.buffer.write(explore_report_bytes(payload))
+        validate(payload)
+        print(json.dumps(payload, indent=2, sort_keys=True))
     elif args.json:
-        write_explore_report(args.json, payload)
+        write_artifact(args.json, payload)
         print(f"; wrote {args.json}", file=sys.stderr)
     if args.metrics_out:
-        from repro.obs.export import write_metrics_export
-
-        write_metrics_export(args.metrics_out, timing["obs"])
+        write_artifact(args.metrics_out, snapshot_export(timing["obs"]))
         print(f"; wrote metrics {args.metrics_out}", file=sys.stderr)
     print(
         f"; {timing['evaluations']} evaluation(s) in "
@@ -912,30 +919,25 @@ def _cmd_serve(args) -> int:
 def _cmd_metrics(args) -> int:
     import json as json_module
 
+    from repro.artifacts import read_artifact
     from repro.obs.export import (
+        METRICS_SCHEMA,
         diff_metrics,
         render_metrics_diff,
         render_metrics_table,
         snapshot_from_export,
         to_prometheus,
-        validate_metrics_export,
     )
 
-    def load_export(path: str):
-        try:
-            with open(path) as handle:
-                payload = json_module.load(handle)
-        except (OSError, ValueError) as error:
-            raise ReproError(f"cannot read {path}: {error}") from error
-        try:
-            validate_metrics_export(payload)
-        except ValueError as error:
-            raise ReproError(f"{path}: {error}") from error
-        return payload
-
-    payload = load_export(args.file)
+    try:
+        payload = read_artifact(args.file, METRICS_SCHEMA)
+        if args.diff:
+            other = read_artifact(args.diff, METRICS_SCHEMA)
+    except OSError as error:
+        raise ReproError(f"cannot read {error.filename}: {error}") from error
+    except ValueError as error:
+        raise ReproError(str(error)) from error
     if args.diff:
-        other = load_export(args.diff)
         diff = diff_metrics(payload, other)
         if args.json:
             print(json_module.dumps(diff, indent=2, sort_keys=True))
@@ -952,49 +954,48 @@ def _cmd_metrics(args) -> int:
 
 
 def _cmd_trend(args) -> int:
-    import json as json_module
     import os
 
+    from repro.artifacts import read_artifact, write_artifact
     from repro.obs.trend import (
         DEFAULT_BASELINE,
+        TREND_BASELINE_SCHEMA,
         collect_current_metrics,
         compare,
         format_trend_table,
-        load_baseline,
         make_baseline,
-        write_baseline,
     )
 
     baseline_path = args.baseline or os.path.join(args.root, DEFAULT_BASELINE)
-    current = collect_current_metrics(args.root)
-    if args.write_baseline:
+    try:
+        current = collect_current_metrics(args.root)
+    except ValueError as error:
+        raise ReproError(str(error)) from error
+    if args.freeze_baseline:
         if not current:
             raise ReproError(
                 f"no BENCH_*.json artifacts under {args.root!r} — nothing "
                 f"to freeze into a baseline"
             )
-        write_baseline(baseline_path, make_baseline(current))
+        write_artifact(baseline_path, make_baseline(current))
         print(
             f"; wrote baseline {baseline_path} ({len(current)} metric(s))",
             file=sys.stderr,
         )
         return 0
     try:
-        baseline = load_baseline(baseline_path)
+        baseline = read_artifact(baseline_path, TREND_BASELINE_SCHEMA)
     except OSError as error:
         raise ReproError(
             f"cannot read baseline {baseline_path}: {error} "
             f"(create one with 'repro trend --write-baseline')"
         ) from error
     except ValueError as error:
-        raise ReproError(f"{baseline_path}: {error}") from error
+        raise ReproError(str(error)) from error
     report = compare(baseline, current)
     print(format_trend_table(report, verbose=args.verbose))
     if args.json:
-        with open(args.json, "w") as handle:
-            handle.write(
-                json_module.dumps(report, indent=2, sort_keys=True) + "\n"
-            )
+        write_artifact(args.json, report)
         print(f"; wrote {args.json}", file=sys.stderr)
     return 0 if report["ok"] else 1
 
@@ -1371,6 +1372,7 @@ def build_parser() -> argparse.ArgumentParser:
     trend.add_argument(
         "--write-baseline",
         action="store_true",
+        dest="freeze_baseline",
         help="(re)freeze the baseline manifest from current values",
     )
 

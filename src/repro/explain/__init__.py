@@ -33,7 +33,6 @@ from repro.explain.report import (
     EXPLAIN_SCHEMA,
     build_explain_report,
     render_text,
-    validate_explain_report,
 )
 
 __all__ = [
@@ -53,5 +52,4 @@ __all__ = [
     "render_text",
     "resource_bound",
     "timeline",
-    "validate_explain_report",
 ]

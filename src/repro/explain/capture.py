@@ -18,7 +18,7 @@ from typing import Any, Dict, Optional, Tuple
 
 from repro.covering.config import HeuristicConfig
 from repro.explain.journal import DecisionJournal
-from repro.explain.report import build_explain_report, validate_explain_report
+from repro.explain.report import build_explain_report
 from repro.frontend import compile_source
 from repro.isdl.model import Machine
 from repro.telemetry.session import TelemetrySession, use_session
@@ -66,6 +66,8 @@ def explain_source(
     meta: Optional[Dict[str, Any]] = None,
 ) -> Tuple[Dict[str, Any], Optional[Any], Optional[Exception]]:
     """Compile minic source and build its validated explain report."""
+    from repro.artifacts import validate
+
     function = compile_source(source)
     journal, compiled, error = compile_with_journal(
         function, machine, config, peephole=peephole
@@ -74,7 +76,7 @@ def explain_source(
     if error is not None:
         report_meta["error"] = f"{type(error).__name__}: {error}"
     report = build_explain_report(journal, compiled, meta=report_meta)
-    validate_explain_report(report)
+    validate(report)
     return report, compiled, error
 
 
@@ -85,6 +87,8 @@ def capture_case_journal(case: Any) -> Dict[str, Any]:
     shrinking so the minimized reproducer ships with the decision
     journal of its failing block.
     """
+    from repro.artifacts import validate
+
     function = compile_source(case.source)
     journal, compiled, error = compile_with_journal(
         function, case.machine, case.heuristic_config()
@@ -98,7 +102,7 @@ def capture_case_journal(case: Any) -> Dict[str, Any]:
     if error is not None:
         meta["error"] = f"{type(error).__name__}: {error}"
     report = build_explain_report(journal, compiled, meta=meta)
-    validate_explain_report(report)
+    validate(report)
     return report
 
 

@@ -1,4 +1,4 @@
-"""Building, validating, and rendering `repro/explain/v1` reports.
+"""Building and rendering `repro/explain/v1` reports.
 
 A report is the JSON-safe, versioned form of one compilation's decision
 journal: entries grouped per basic block (in first-appearance order),
@@ -8,37 +8,18 @@ cycle-by-cycle timeline of its *final* compiled form.
 Reports are deterministic by construction: no timestamps, every list
 explicitly ordered — the acceptance gate is that repeated runs, and the
 test-only reference covering loop, produce byte-identical
-serializations.
+serializations.  The report's shape and invariants live in
+:mod:`repro.artifacts`.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
-from repro.explain.journal import DECISION_KINDS, DecisionJournal
+from repro.explain.journal import DecisionJournal
 
 #: Version tag carried by every report; bump on shape changes.
 EXPLAIN_SCHEMA = "repro/explain/v1"
-
-#: Keys every journal entry carries, in canonical order.
-_ENTRY_KEYS = ("seq", "kind", "block", "attempt", "strategy", "data")
-
-#: Keys every quality record carries.
-_QUALITY_KEYS = (
-    "cycles",
-    "tasks",
-    "critical_path",
-    "resource_bound",
-    "lower_bound",
-    "schedule_overhead",
-    "ipc",
-    "slot_utilization",
-    "overhead",
-    "spills",
-    "reloads",
-    "register_estimate",
-    "optimal",
-)
 
 
 def build_explain_report(
@@ -103,100 +84,6 @@ def build_explain_report(
         "decision_counts": journal.by_kind(),
         "blocks": blocks,
     }
-
-
-def validate_explain_report(report: Dict[str, Any]) -> None:
-    """Raise ``ValueError`` on any departure from `repro/explain/v1`."""
-
-    def fail(message: str) -> None:
-        raise ValueError(f"invalid explain report: {message}")
-
-    if not isinstance(report, dict):
-        fail("not a JSON object")
-    if report.get("schema") != EXPLAIN_SCHEMA:
-        fail(f"schema is {report.get('schema')!r}, want {EXPLAIN_SCHEMA!r}")
-    for key in ("meta", "decision_counts", "blocks"):
-        if key not in report:
-            fail(f"missing key {key!r}")
-    if not isinstance(report["meta"], dict):
-        fail("meta is not an object")
-    counts = report["decision_counts"]
-    if not isinstance(counts, dict):
-        fail("decision_counts is not an object")
-    for kind, count in counts.items():
-        if kind not in DECISION_KINDS:
-            fail(f"unknown decision kind {kind!r} in decision_counts")
-        if not isinstance(count, int) or count < 0:
-            fail(f"decision_counts[{kind!r}] is not a non-negative int")
-    if not isinstance(report["blocks"], list):
-        fail("blocks is not a list")
-    last_seq = -1
-    total = 0
-    for block in report["blocks"]:
-        if not isinstance(block, dict):
-            fail("block record is not an object")
-        for key in ("name", "decisions", "quality", "timeline"):
-            if key not in block:
-                fail(f"block record missing key {key!r}")
-        if block["name"] is not None and not isinstance(block["name"], str):
-            fail("block name is neither null nor a string")
-        if not isinstance(block["decisions"], list):
-            fail("block decisions is not a list")
-        for entry in block["decisions"]:
-            if not isinstance(entry, dict):
-                fail("journal entry is not an object")
-            if tuple(sorted(entry)) != tuple(sorted(_ENTRY_KEYS)):
-                fail(
-                    f"journal entry keys {sorted(entry)} != "
-                    f"{sorted(_ENTRY_KEYS)}"
-                )
-            if entry["kind"] not in DECISION_KINDS:
-                fail(f"unknown decision kind {entry['kind']!r}")
-            if not isinstance(entry["seq"], int):
-                fail("entry seq is not an int")
-            if entry["block"] != block["name"]:
-                fail(
-                    f"entry seq={entry['seq']} filed under block "
-                    f"{block['name']!r} but scoped to {entry['block']!r}"
-                )
-            if not isinstance(entry["data"], dict):
-                fail("entry data is not an object")
-            total += 1
-        quality = block["quality"]
-        if quality is not None:
-            if not isinstance(quality, dict):
-                fail("block quality is not an object")
-            for key in _QUALITY_KEYS:
-                if key not in quality:
-                    fail(f"quality record missing key {key!r}")
-        if block["timeline"] is not None:
-            if not isinstance(block["timeline"], list):
-                fail("block timeline is not a list")
-            for cycle_record in block["timeline"]:
-                if (
-                    not isinstance(cycle_record, dict)
-                    or "cycle" not in cycle_record
-                    or "slots" not in cycle_record
-                ):
-                    fail("timeline record missing cycle/slots")
-    # Seq values are globally unique and strictly increasing within each
-    # block (interleaving across blocks cannot happen: blocks compile
-    # sequentially).
-    seen_seqs = set()
-    for block in report["blocks"]:
-        last_seq = -1
-        for entry in block["decisions"]:
-            if entry["seq"] <= last_seq:
-                fail("entry seq not strictly increasing within block")
-            last_seq = entry["seq"]
-            if entry["seq"] in seen_seqs:
-                fail(f"duplicate entry seq {entry['seq']}")
-            seen_seqs.add(entry["seq"])
-    if sum(counts.values()) != total:
-        fail(
-            f"decision_counts total {sum(counts.values())} != "
-            f"{total} journaled entries"
-        )
 
 
 def _describe_entry(entry: Dict[str, Any]) -> str:

@@ -31,11 +31,8 @@ from repro.explore.service import (
     AXES,
     EXPLORE_SCHEMA,
     candidate_vector,
-    explore_report_bytes,
     format_explore_table,
     run_explore,
-    validate_explore_report,
-    write_explore_report,
 )
 
 __all__ = [
@@ -50,7 +47,6 @@ __all__ = [
     "default_workloads",
     "dominates",
     "evaluate_candidate",
-    "explore_report_bytes",
     "format_explore_table",
     "load_base_machines",
     "make_payloads",
@@ -59,6 +55,4 @@ __all__ = [
     "run_explore",
     "structure_fingerprint",
     "tighten_candidate",
-    "validate_explore_report",
-    "write_explore_report",
 ]

@@ -26,7 +26,6 @@ report — as one deterministic, parallel pipeline:
 
 from __future__ import annotations
 
-import json
 import time
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -36,7 +35,7 @@ from repro.explore.evaluate import (
     make_payloads,
     tighten_candidate,
 )
-from repro.explore.pareto import dominates, pareto_frontier
+from repro.explore.pareto import pareto_frontier
 from repro.explore.population import ExploreCandidate, build_population
 from repro.telemetry import current as _telemetry
 
@@ -290,133 +289,8 @@ def _tighten_frontier(
 
 
 # ----------------------------------------------------------------------
-# Artifact validation / IO / rendering
+# Rendering
 # ----------------------------------------------------------------------
-
-
-def validate_explore_report(payload: Any) -> None:
-    """Raise :class:`ValueError` unless ``payload`` is a well-formed
-    ``repro/bench-explore/v1`` artifact (including frontier honesty:
-    members are failure-free and mutually non-dominated)."""
-    if not isinstance(payload, dict):
-        raise ValueError("explore report must be a JSON object")
-    if payload.get("schema") != EXPLORE_SCHEMA:
-        raise ValueError(
-            f"explore report schema must be {EXPLORE_SCHEMA!r}, "
-            f"got {payload.get('schema')!r}"
-        )
-    meta = payload.get("meta")
-    if not isinstance(meta, dict):
-        raise ValueError("explore report needs a 'meta' object")
-    for key in ("seed", "population", "budget"):
-        if not isinstance(meta.get(key), int):
-            raise ValueError(f"meta: {key!r} must be an int")
-    if meta.get("axes") != list(AXES):
-        raise ValueError(f"meta: 'axes' must be {list(AXES)}")
-    if not isinstance(meta.get("workloads"), list) or not meta["workloads"]:
-        raise ValueError("meta: needs a non-empty 'workloads' list")
-    candidates = payload.get("candidates")
-    if not isinstance(candidates, list) or not candidates:
-        raise ValueError("explore report needs a non-empty 'candidates' list")
-    names = set()
-    for position, record in enumerate(candidates):
-        where = f"candidate #{position}"
-        if not isinstance(record, dict):
-            raise ValueError(f"{where} is not an object")
-        name = record.get("name")
-        if not isinstance(name, str) or not name:
-            raise ValueError(f"{where}: missing string 'name'")
-        if name in names:
-            raise ValueError(f"{where}: duplicate candidate name {name!r}")
-        names.add(name)
-        for key in ("area", "failures", "workloads_ok"):
-            if not isinstance(record.get(key), int) or record[key] < 0:
-                raise ValueError(
-                    f"{where}: {key!r} must be a non-negative int"
-                )
-        metrics = record.get("metrics")
-        if not isinstance(metrics, dict):
-            raise ValueError(f"{where}: missing 'metrics'")
-        for key in ("instructions", "spills", "cycles", "gap"):
-            if not isinstance(metrics.get(key), int) or metrics[key] < 0:
-                raise ValueError(
-                    f"{where}: metrics.{key} must be a non-negative int"
-                )
-        workloads = record.get("workloads")
-        if not isinstance(workloads, list) or len(workloads) != len(
-            meta["workloads"]
-        ):
-            raise ValueError(
-                f"{where}: needs one workload record per suite member"
-            )
-        for wl in workloads:
-            if wl.get("status") not in WORKLOAD_STATUSES_:
-                raise ValueError(
-                    f"{where}: bad workload status {wl.get('status')!r}"
-                )
-            if wl["status"] == "ok" and not isinstance(wl.get("metrics"), dict):
-                raise ValueError(f"{where}: ok workload needs metrics")
-            if wl["status"] != "ok" and not isinstance(wl.get("error"), str):
-                raise ValueError(f"{where}: failed workload needs 'error'")
-    frontier = payload.get("frontier")
-    if not isinstance(frontier, list):
-        raise ValueError("explore report needs a 'frontier' list")
-    by_name = {record["name"]: record for record in candidates}
-    vectors = []
-    for position, member in enumerate(frontier):
-        where = f"frontier #{position}"
-        if not isinstance(member, dict):
-            raise ValueError(f"{where} is not an object")
-        name = member.get("name")
-        if name not in by_name:
-            raise ValueError(f"{where}: unknown candidate {name!r}")
-        record = by_name[name]
-        if record["failures"]:
-            raise ValueError(
-                f"{where}: {name!r} failed {record['failures']} workload(s) "
-                f"and cannot be on the frontier"
-            )
-        if not record.get("frontier"):
-            raise ValueError(f"{where}: {name!r} not flagged as frontier")
-        if not isinstance(member.get("isdl"), str) or not member["isdl"]:
-            raise ValueError(f"{where}: missing machine 'isdl' text")
-        vectors.append(
-            (name, (member["area"], member["instructions"], member["gap"]))
-        )
-    for name, vector in vectors:
-        for other_name, other in vectors:
-            if other_name != name and dominates(other, vector):
-                raise ValueError(
-                    f"frontier member {name!r} is dominated by "
-                    f"{other_name!r} — not a Pareto frontier"
-                )
-    totals = payload.get("totals")
-    if not isinstance(totals, dict):
-        raise ValueError("explore report needs a 'totals' object")
-    if totals.get("candidates") != len(candidates):
-        raise ValueError("totals: 'candidates' disagrees with the list")
-    if totals.get("frontier") != len(frontier):
-        raise ValueError("totals: 'frontier' disagrees with the list")
-
-
-#: Mirrors :data:`repro.explore.evaluate.WORKLOAD_STATUSES` without the
-#: import cycle at validation time.
-WORKLOAD_STATUSES_ = ("ok", "coverage_error", "error")
-
-
-def explore_report_bytes(payload: Dict[str, Any]) -> bytes:
-    """The canonical byte serialization (what determinism tests compare
-    and ``write_explore_report`` writes)."""
-    return (
-        json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    ).encode("utf-8")
-
-
-def write_explore_report(path: str, payload: Dict[str, Any]) -> None:
-    """Validate and write a ``BENCH_explore.json`` artifact."""
-    validate_explore_report(payload)
-    with open(path, "wb") as handle:
-        handle.write(explore_report_bytes(payload))
 
 
 def format_explore_table(payload: Dict[str, Any], top: int = 12) -> str:

@@ -22,19 +22,15 @@ from repro.obs.events import (
     read_events,
     request_event,
     stream_event,
-    validate_event,
 )
 from repro.obs.export import (
     METRICS_SCHEMA,
     diff_metrics,
-    metrics_bytes,
     render_metrics_diff,
     render_metrics_table,
     snapshot_export,
     snapshot_from_export,
     to_prometheus,
-    validate_metrics_export,
-    write_metrics_export,
 )
 from repro.obs.metrics import (
     METRIC_CATALOG,
@@ -49,8 +45,6 @@ from repro.obs.recorder import (
     FLIGHT_SCHEMA,
     FLIGHT_SUMMARY_SCHEMA,
     FlightRecorder,
-    read_flight_artifact,
-    validate_flight_artifact,
 )
 from repro.obs.trend import (
     DEFAULT_BASELINE,
@@ -59,10 +53,7 @@ from repro.obs.trend import (
     collect_current_metrics,
     compare,
     format_trend_table,
-    load_baseline,
     make_baseline,
-    validate_baseline,
-    write_baseline,
 )
 
 __all__ = [
@@ -85,12 +76,9 @@ __all__ = [
     "current_registry",
     "diff_metrics",
     "format_trend_table",
-    "load_baseline",
     "make_baseline",
     "make_request_id",
-    "metrics_bytes",
     "read_events",
-    "read_flight_artifact",
     "render_metrics_diff",
     "render_metrics_table",
     "request_event",
@@ -99,10 +87,4 @@ __all__ = [
     "stream_event",
     "to_prometheus",
     "use_registry",
-    "validate_baseline",
-    "validate_event",
-    "validate_flight_artifact",
-    "validate_metrics_export",
-    "write_baseline",
-    "write_metrics_export",
 ]

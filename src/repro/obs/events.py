@@ -26,14 +26,9 @@ from typing import Any, Dict, List, Optional, Union
 #: Versioned stamp on every event line.
 EVENTS_SCHEMA = "repro/events/v1"
 
-#: Event kinds a stream may contain.
+#: Event kinds a stream may contain.  A request event carries a job
+#: status, or ``bad_request`` for a line that never became a job.
 EVENT_KINDS = ("stream_start", "request", "stream_end")
-
-#: Request statuses an event may carry (superset of job statuses: a
-#: line that never became a job reports ``bad_request``).
-EVENT_STATUSES = (
-    "ok", "coverage_error", "verification_error", "error", "bad_request",
-)
 
 
 def make_request_id(seq: int, payload: Union[str, bytes]) -> str:
@@ -84,45 +79,6 @@ def request_event(
     return record
 
 
-def validate_event(record: Any) -> None:
-    """Raise :class:`ValueError` unless ``record`` is a well-formed
-    ``repro/events/v1`` event."""
-    if not isinstance(record, dict):
-        raise ValueError("event must be a JSON object")
-    if record.get("schema") != EVENTS_SCHEMA:
-        raise ValueError(
-            f"event schema must be {EVENTS_SCHEMA!r}, "
-            f"got {record.get('schema')!r}"
-        )
-    event = record.get("event")
-    if event not in EVENT_KINDS:
-        raise ValueError(f"unknown event kind {event!r}")
-    if event != "request":
-        return
-    request_id = record.get("request_id")
-    if not isinstance(request_id, str) or not request_id.startswith("req-"):
-        raise ValueError(f"request event needs a 'req-...' id, got {request_id!r}")
-    if record.get("status") not in EVENT_STATUSES:
-        raise ValueError(f"unknown request status {record.get('status')!r}")
-    if not isinstance(record.get("metrics"), dict):
-        raise ValueError("request event needs a 'metrics' object")
-    if record["status"] in ("error", "bad_request") and not isinstance(
-        record.get("error"), str
-    ):
-        raise ValueError("failed request event needs an 'error' string")
-    telemetry = record.get("telemetry")
-    if telemetry is not None:
-        if not isinstance(telemetry, dict) or not isinstance(
-            telemetry.get("spans"), list
-        ):
-            raise ValueError("event 'telemetry' needs a 'spans' list")
-        for span in telemetry["spans"]:
-            if not isinstance(span, dict) or not isinstance(
-                span.get("path"), str
-            ):
-                raise ValueError("telemetry span summaries need 'path'")
-
-
 class EventLog:
     """An append-only JSON-lines event sink.
 
@@ -142,7 +98,9 @@ class EventLog:
         self.emitted = 0
 
     def emit(self, record: Dict[str, Any]) -> None:
-        validate_event(record)
+        from repro.artifacts import validate
+
+        validate(record, EVENTS_SCHEMA)
         self._stream.write(json.dumps(record, sort_keys=True) + "\n")
         self.emitted += 1
 
@@ -164,11 +122,13 @@ class EventLog:
 
 def read_events(path: Union[str, Path]) -> List[Dict[str, Any]]:
     """Load and validate every event line in ``path``."""
+    from repro.artifacts import validate
+
     events = []
     for line in Path(path).read_text().splitlines():
         if not line.strip():
             continue
         record = json.loads(line)
-        validate_event(record)
+        validate(record, EVENTS_SCHEMA)
         events.append(record)
     return events

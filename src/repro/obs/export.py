@@ -15,21 +15,19 @@ Two audiences, two formats:
   histograms as cumulative ``_bucket{le=...}`` series, and carries the
   catalog help text as ``# HELP`` lines.
 
-``validate_metrics_export`` re-derives every internal consistency
+Its :mod:`repro.artifacts` rules re-derive every internal consistency
 property (known names, bucket arithmetic, quantile recomputation), so a
-tampered or hand-built artifact is rejected, not trusted.
+tampered or hand-built export is rejected, not trusted.
 """
 
 from __future__ import annotations
 
-import json
 from typing import Any, Dict, List, Optional, Union
 
 from repro.obs.metrics import (
     METRIC_CATALOG,
     HistogramState,
     MetricsSnapshot,
-    histogram_quantile,
 )
 
 #: Versioned envelope of the canonical JSON export.
@@ -76,28 +74,6 @@ def snapshot_export(
     }
 
 
-def metrics_bytes(payload: Dict[str, Any]) -> bytes:
-    """The canonical byte serialization (what ``--metrics-out`` writes
-    and the byte-identity tests compare)."""
-    return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode(
-        "utf-8"
-    )
-
-
-def write_metrics_export(
-    path: str,
-    snapshot: MetricsSnapshot,
-    include_volatile: bool = False,
-) -> Dict[str, Any]:
-    """Validate and write a snapshot's canonical export; returns the
-    payload."""
-    payload = snapshot_export(snapshot, include_volatile=include_volatile)
-    validate_metrics_export(payload)
-    with open(path, "wb") as handle:
-        handle.write(metrics_bytes(payload))
-    return payload
-
-
 def snapshot_from_export(payload: Dict[str, Any]) -> MetricsSnapshot:
     """Rebuild a :class:`MetricsSnapshot` from a validated export."""
     return MetricsSnapshot.from_dict(
@@ -117,88 +93,6 @@ def snapshot_from_export(payload: Dict[str, Any]) -> MetricsSnapshot:
             },
         }
     )
-
-
-def validate_metrics_export(payload: Any) -> None:
-    """Raise :class:`ValueError` unless ``payload`` is a well-formed
-    ``repro/metrics/v1`` export."""
-    if not isinstance(payload, dict):
-        raise ValueError("metrics export must be a JSON object")
-    if payload.get("schema") != METRICS_SCHEMA:
-        raise ValueError(
-            f"metrics export schema must be {METRICS_SCHEMA!r}, "
-            f"got {payload.get('schema')!r}"
-        )
-    include_volatile = payload.get("volatile_included")
-    if not isinstance(include_volatile, bool):
-        raise ValueError("metrics export needs boolean 'volatile_included'")
-    for section in ("counters", "gauges", "histograms"):
-        if not isinstance(payload.get(section), dict):
-            raise ValueError(f"metrics export needs a {section!r} object")
-    expected = {
-        name
-        for name, spec in METRIC_CATALOG.items()
-        if include_volatile or not spec.volatile
-    }
-    seen = (
-        set(payload["counters"])
-        | set(payload["gauges"])
-        | set(payload["histograms"])
-    )
-    if seen != expected:
-        missing = sorted(expected - seen)
-        unknown = sorted(seen - expected)
-        raise ValueError(
-            f"metrics export names disagree with the catalog "
-            f"(missing {missing}, unknown {unknown})"
-        )
-    for name, value in payload["counters"].items():
-        spec = METRIC_CATALOG[name]
-        if spec.kind != "counter":
-            raise ValueError(f"{name!r} exported as counter but is {spec.kind}")
-        if not isinstance(value, int) or value < 0:
-            raise ValueError(f"counter {name!r} must be a non-negative int")
-    for name, value in payload["gauges"].items():
-        spec = METRIC_CATALOG[name]
-        if spec.kind != "gauge":
-            raise ValueError(f"{name!r} exported as gauge but is {spec.kind}")
-        if value is not None and not isinstance(value, (int, float)):
-            raise ValueError(f"gauge {name!r} must be a number or null")
-    for name, entry in payload["histograms"].items():
-        spec = METRIC_CATALOG[name]
-        if spec.kind != "histogram":
-            raise ValueError(
-                f"{name!r} exported as histogram but is {spec.kind}"
-            )
-        where = f"histogram {name!r}"
-        if not isinstance(entry, dict):
-            raise ValueError(f"{where} must be an object")
-        if tuple(entry.get("bounds", ())) != tuple(spec.buckets or ()):
-            raise ValueError(f"{where}: bounds disagree with the catalog")
-        counts = entry.get("counts")
-        if (
-            not isinstance(counts, list)
-            or len(counts) != len(spec.buckets or ()) + 1
-            or any(not isinstance(n, int) or n < 0 for n in counts)
-        ):
-            raise ValueError(f"{where}: malformed bucket counts")
-        if entry.get("count") != sum(counts):
-            raise ValueError(
-                f"{where}: 'count' disagrees with the bucket sum"
-            )
-        if entry["count"] == 0 and (
-            entry.get("min") is not None or entry.get("max") is not None
-        ):
-            raise ValueError(f"{where}: empty histogram carries min/max")
-        for label, q in QUANTILES:
-            recomputed = histogram_quantile(
-                tuple(entry["bounds"]), counts, q, maximum=entry.get("max")
-            )
-            if entry.get(label) != recomputed:
-                raise ValueError(
-                    f"{where}: {label} is {entry.get(label)!r}, bucket "
-                    f"arithmetic says {recomputed!r}"
-                )
 
 
 # ----------------------------------------------------------------------

@@ -20,7 +20,6 @@ ends.
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
@@ -124,6 +123,8 @@ class FlightRecorder:
         metrics: Optional[Dict[str, Any]],
         flight: Optional[Dict[str, Any]],
     ) -> str:
+        from repro.artifacts import write_artifact
+
         flight = flight or {}
         artifact = {
             "schema": FLIGHT_SCHEMA,
@@ -138,12 +139,8 @@ class FlightRecorder:
             "trace": flight.get("trace"),
             "journal": flight.get("journal"),
         }
-        validate_flight_artifact(artifact)
         name = f"flight-{request_id}.json"
-        path = self.root / name
-        tmp = path.with_suffix(".tmp")
-        tmp.write_text(json.dumps(artifact, indent=2, sort_keys=True) + "\n")
-        tmp.replace(path)
+        write_artifact(self.root / name, artifact)
         self.dumps += 1
         return name
 
@@ -158,6 +155,8 @@ class FlightRecorder:
 
     def write_summary(self) -> Path:
         """Persist the rings as ``flight-summary.json``; returns the path."""
+        from repro.artifacts import write_artifact
+
         payload = {
             "schema": FLIGHT_SUMMARY_SCHEMA,
             "dumps": self.dumps,
@@ -165,48 +164,7 @@ class FlightRecorder:
         }
         payload.update(self.rings())
         path = self.root / "flight-summary.json"
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        write_artifact(path, payload)
         return path
 
 
-def validate_flight_artifact(payload: Any) -> None:
-    """Raise :class:`ValueError` unless ``payload`` is a well-formed,
-    self-contained ``repro/flight/v1`` artifact."""
-    if not isinstance(payload, dict):
-        raise ValueError("flight artifact must be a JSON object")
-    if payload.get("schema") != FLIGHT_SCHEMA:
-        raise ValueError(
-            f"flight artifact schema must be {FLIGHT_SCHEMA!r}, "
-            f"got {payload.get('schema')!r}"
-        )
-    if payload.get("reason") not in ("slow", "failed"):
-        raise ValueError(f"unknown dump reason {payload.get('reason')!r}")
-    request_id = payload.get("request_id")
-    if not isinstance(request_id, str) or not request_id.startswith("req-"):
-        raise ValueError("flight artifact needs a 'req-...' request id")
-    if not isinstance(payload.get("wall_s"), (int, float)):
-        raise ValueError("flight artifact needs a numeric 'wall_s'")
-    if "request" not in payload:
-        raise ValueError("flight artifact must embed the raw request")
-    result = payload.get("result")
-    if not isinstance(result, dict) or "status" not in result:
-        raise ValueError("flight artifact must embed the structured result")
-    if not isinstance(payload.get("metrics"), dict):
-        raise ValueError("flight artifact needs a 'metrics' snapshot object")
-    if payload["reason"] == "slow" and not isinstance(
-        payload.get("threshold_s"), (int, float)
-    ):
-        raise ValueError("a 'slow' dump must record its threshold")
-    trace = payload.get("trace")
-    if trace is not None and not isinstance(trace.get("traceEvents"), list):
-        raise ValueError("flight artifact 'trace' must be a Chrome trace")
-    journal = payload.get("journal")
-    if journal is not None and not isinstance(journal, list):
-        raise ValueError("flight artifact 'journal' must be an entry list")
-
-
-def read_flight_artifact(path: Union[str, Path]) -> Dict[str, Any]:
-    """Load and validate one flight artifact."""
-    payload = json.loads(Path(path).read_text())
-    validate_flight_artifact(payload)
-    return payload

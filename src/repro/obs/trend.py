@@ -16,6 +16,9 @@ the bench trajectory into a gate:
 - ``make_baseline`` freezes those metrics into a committed
   ``repro/trend-baseline/v1`` manifest
   (``benchmarks/trend_baseline.json``).
+- Every artifact is read through :func:`repro.artifacts.read_artifact`,
+  so a malformed ledger is a :class:`ValueError` naming the file, never
+  a crash halfway through flattening.
 - ``compare`` re-collects and reports per-metric deltas; any gated
   metric that moved in the losing direction beyond its tolerance — or
   vanished entirely — is a **regression**, and ``repro trend`` exits
@@ -26,7 +29,6 @@ the bench trajectory into a gate:
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
@@ -59,11 +61,13 @@ def _metric(
     }
 
 
-def _load(root: Path, name: str) -> Optional[Dict[str, Any]]:
+def _load(root: Path, name: str, schema: str) -> Optional[Dict[str, Any]]:
+    from repro.artifacts import read_artifact
+
     path = root / f"BENCH_{name}.json"
     if not path.exists():
         return None
-    return json.loads(path.read_text())
+    return read_artifact(path, schema)
 
 
 def collect_current_metrics(
@@ -74,74 +78,75 @@ def collect_current_metrics(
     Missing artifacts simply contribute no metrics — the comparison
     side decides whether that constitutes a regression (it does, when
     the baseline gates a metric the current tree no longer produces).
+    A malformed one raises :class:`ValueError` naming the file.
     """
+    from repro.explore.service import EXPLORE_SCHEMA
+    from repro.optimal.bench import OPTIMAL_BENCH_SCHEMA
+    from repro.serve.bench import SERVE_BENCH_SCHEMA
+    from repro.telemetry.bench import (
+        BENCH_SCHEMA,
+        COVER_BENCH_SCHEMA,
+        SNDAG_BENCH_SCHEMA,
+    )
+
+    root = Path(root)
     metrics: Dict[str, Dict[str, Any]] = {}
 
-    codegen = _load(Path(root), "codegen")
-    if codegen:
-        for entry in codegen.get("entries", ()):
-            stem = f"codegen.{entry['workload']}.{entry['machine']}"
-            m = entry["metrics"]
-            metrics[f"{stem}.instructions"] = _metric(m["instructions"], "min")
-            metrics[f"{stem}.spills"] = _metric(m["spills"], "min")
+    codegen = _load(root, "codegen", BENCH_SCHEMA)
+    for entry in codegen["entries"] if codegen else ():
+        stem = f"codegen.{entry['workload']}.{entry['machine']}"
+        m = entry["metrics"]
+        metrics[f"{stem}.instructions"] = _metric(m["instructions"], "min")
+        metrics[f"{stem}.spills"] = _metric(m["spills"], "min")
 
-    cover = _load(Path(root), "cover")
-    if cover:
-        for entry in cover.get("entries", ()):
-            stem = f"cover.{entry['workload']}.{entry['machine']}"
-            metrics[f"{stem}.instructions"] = _metric(
-                entry["metrics"]["instructions"], "min"
-            )
+    cover = _load(root, "cover", COVER_BENCH_SCHEMA)
+    for entry in cover["entries"] if cover else ():
+        stem = f"cover.{entry['workload']}.{entry['machine']}"
+        metrics[f"{stem}.instructions"] = _metric(
+            entry["metrics"]["instructions"], "min"
+        )
 
-    serve = _load(Path(root), "serve")
-    if serve:
-        for entry in serve.get("entries", ()):
-            stem = f"serve.{entry['mix']}"
-            metrics[f"{stem}.warm_hit_rate"] = _metric(
-                entry["warm_hit_rate"], "max"
-            )
-            metrics[f"{stem}.identical"] = _metric(entry["identical"], "max")
-            metrics[f"{stem}.speedup"] = _metric(
-                entry["speedup"], "max", gate=False
-            )
+    serve = _load(root, "serve", SERVE_BENCH_SCHEMA)
+    for entry in serve["entries"] if serve else ():
+        stem = f"serve.{entry['mix']}"
+        metrics[f"{stem}.warm_hit_rate"] = _metric(
+            entry["warm_hit_rate"], "max"
+        )
+        metrics[f"{stem}.identical"] = _metric(entry["identical"], "max")
+        metrics[f"{stem}.speedup"] = _metric(
+            entry["speedup"], "max", gate=False
+        )
 
-    sndag = _load(Path(root), "sndag")
-    if sndag:
-        for entry in sndag.get("entries", ()):
-            stem = f"sndag.{entry['workload']}.{entry['machine']}"
-            metrics[f"{stem}.lazy_transfer_nodes"] = _metric(
-                entry["lazy_transfer_nodes"], "min"
-            )
+    sndag = _load(root, "sndag", SNDAG_BENCH_SCHEMA)
+    for entry in sndag["entries"] if sndag else ():
+        stem = f"sndag.{entry['workload']}.{entry['machine']}"
+        metrics[f"{stem}.lazy_transfer_nodes"] = _metric(
+            entry["lazy_transfer_nodes"], "min"
+        )
 
-    optimal = _load(Path(root), "optimal")
+    optimal = _load(root, "optimal", OPTIMAL_BENCH_SCHEMA)
     if optimal:
-        summary = optimal.get("summary", {})
-        if summary:
-            metrics["optimal.summary.proven"] = _metric(
-                summary["proven"], "max"
-            )
-            metrics["optimal.summary.budget_exhausted"] = _metric(
-                summary["budget_exhausted"], "min"
-            )
-            metrics["optimal.summary.gap_cycles"] = _metric(
-                summary["gap_cycles"], "min"
-            )
-            metrics["optimal.summary.improved"] = _metric(
-                summary["improved"], "max"
+        summary = optimal["summary"]
+        for key, direction in (
+            ("proven", "max"),
+            ("budget_exhausted", "min"),
+            ("gap_cycles", "min"),
+            ("improved", "max"),
+        ):
+            metrics[f"optimal.summary.{key}"] = _metric(
+                summary[key], direction
             )
 
-    explore = _load(Path(root), "explore")
+    explore = _load(root, "explore", EXPLORE_SCHEMA)
     if explore:
-        totals = explore.get("totals", {})
-        if totals:
-            metrics["explore.totals.frontier"] = _metric(
-                totals["frontier"], "max"
-            )
-            metrics["explore.totals.candidates"] = _metric(
-                totals["candidates"], "max"
-            )
-            metrics["explore.totals.workload_failures"] = _metric(
-                totals["workload_failures"], "min"
+        totals = explore["totals"]
+        for key, direction in (
+            ("frontier", "max"),
+            ("candidates", "max"),
+            ("workload_failures", "min"),
+        ):
+            metrics[f"explore.totals.{key}"] = _metric(
+                totals[key], direction
             )
 
     return metrics
@@ -161,48 +166,6 @@ def make_baseline(
         "schema": TREND_BASELINE_SCHEMA,
         "metrics": {name: dict(metrics[name]) for name in sorted(metrics)},
     }
-
-
-def write_baseline(path: Union[str, Path], baseline: Dict[str, Any]) -> None:
-    validate_baseline(baseline)
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    Path(path).write_text(
-        json.dumps(baseline, indent=2, sort_keys=True) + "\n"
-    )
-
-
-def load_baseline(path: Union[str, Path]) -> Dict[str, Any]:
-    baseline = json.loads(Path(path).read_text())
-    validate_baseline(baseline)
-    return baseline
-
-
-def validate_baseline(payload: Any) -> None:
-    """Raise :class:`ValueError` unless ``payload`` is a well-formed
-    baseline manifest."""
-    if not isinstance(payload, dict):
-        raise ValueError("trend baseline must be a JSON object")
-    if payload.get("schema") != TREND_BASELINE_SCHEMA:
-        raise ValueError(
-            f"trend baseline schema must be {TREND_BASELINE_SCHEMA!r}, "
-            f"got {payload.get('schema')!r}"
-        )
-    metrics = payload.get("metrics")
-    if not isinstance(metrics, dict) or not metrics:
-        raise ValueError("trend baseline needs a non-empty 'metrics' object")
-    for name, entry in metrics.items():
-        where = f"baseline metric {name!r}"
-        if not isinstance(entry, dict):
-            raise ValueError(f"{where} must be an object")
-        if not isinstance(entry.get("value"), (int, float)):
-            raise ValueError(f"{where} needs a numeric 'value'")
-        if entry.get("direction") not in ("min", "max"):
-            raise ValueError(f"{where} direction must be 'min' or 'max'")
-        tolerance = entry.get("tolerance")
-        if not isinstance(tolerance, (int, float)) or tolerance < 0:
-            raise ValueError(f"{where} needs a non-negative 'tolerance'")
-        if not isinstance(entry.get("gate"), bool):
-            raise ValueError(f"{where} needs a boolean 'gate'")
 
 
 # ----------------------------------------------------------------------

@@ -50,10 +50,7 @@ from repro.optimal.bench import (
     OPTIMAL_BENCH_SCHEMA,
     collect_optimal_bench,
     format_gap_table,
-    make_optimal_report,
     summarize_optimal_bench,
-    validate_optimal_report,
-    write_optimal_report,
 )
 from repro.optimal.certify import certify_solution, solution_from_model
 from repro.optimal.encoding import AssignmentEncoding
@@ -73,12 +70,9 @@ __all__ = [
     "certify_solution",
     "collect_optimal_bench",
     "format_gap_table",
-    "make_optimal_report",
     "optimal_block_solution",
     "solution_from_model",
     "summarize_optimal_bench",
-    "validate_optimal_report",
-    "write_optimal_report",
 ]
 
 #: Default total conflict budget across the whole block solve.

@@ -36,7 +36,6 @@ push.
 
 from __future__ import annotations
 
-import json
 from typing import Any, Dict, List, Optional, Tuple
 
 OPTIMAL_BENCH_SCHEMA = "repro/bench-optimal/v1"
@@ -131,105 +130,6 @@ def summarize_optimal_bench(
             1 for e in entries if e["solver"]["budget_exhausted"]
         ),
     }
-
-
-def make_optimal_report(entries: List[Dict[str, Any]]) -> Dict[str, Any]:
-    """Wrap gap entries in the versioned envelope (with the summary)."""
-    return {
-        "schema": OPTIMAL_BENCH_SCHEMA,
-        "summary": summarize_optimal_bench(entries),
-        "entries": list(entries),
-    }
-
-
-def write_optimal_report(path: str, entries: List[Dict[str, Any]]) -> None:
-    """Write a schema-valid ``BENCH_optimal.json`` (validated first)."""
-    payload = make_optimal_report(entries)
-    validate_optimal_report(payload)
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-
-def validate_optimal_report(payload: Any) -> None:
-    """Raise :class:`ValueError` unless ``payload`` matches the
-    ``repro/bench-optimal/v1`` schema."""
-    if not isinstance(payload, dict):
-        raise ValueError("optimal bench report must be a JSON object")
-    if payload.get("schema") != OPTIMAL_BENCH_SCHEMA:
-        raise ValueError(
-            f"optimal bench schema must be {OPTIMAL_BENCH_SCHEMA!r}, "
-            f"got {payload.get('schema')!r}"
-        )
-    entries = payload.get("entries")
-    if not isinstance(entries, list) or not entries:
-        raise ValueError(
-            "optimal bench report needs a non-empty 'entries' list"
-        )
-    for position, entry in enumerate(entries):
-        where = f"entry #{position}"
-        if not isinstance(entry, dict):
-            raise ValueError(f"{where} is not an object")
-        for key in ("workload", "machine"):
-            if not isinstance(entry.get(key), str) or not entry[key]:
-                raise ValueError(f"{where}: missing string {key!r}")
-        for key in (
-            "registers",
-            "heuristic_cost",
-            "optimal_cost",
-            "gap",
-            "heuristic_spills",
-        ):
-            value = entry.get(key)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"{where}: {key!r} must be an int")
-        for key in ("proven", "spill_free"):
-            if not isinstance(entry.get(key), bool):
-                raise ValueError(f"{where}: {key!r} must be a bool")
-        seconds = entry.get("cpu_seconds")
-        if not isinstance(seconds, (int, float)) or seconds < 0:
-            raise ValueError(
-                f"{where}: 'cpu_seconds' must be a non-negative number"
-            )
-        if entry["gap"] != entry["heuristic_cost"] - entry["optimal_cost"]:
-            raise ValueError(
-                f"{where}: gap {entry['gap']} != heuristic "
-                f"{entry['heuristic_cost']} - optimal "
-                f"{entry['optimal_cost']}"
-            )
-        if entry["gap"] < 0:
-            raise ValueError(
-                f"{where}: negative gap — the solver reported a cost "
-                f"worse than the heuristic seed, which the driver "
-                f"guarantees cannot happen"
-            )
-        solver = entry.get("solver")
-        if not isinstance(solver, dict):
-            raise ValueError(f"{where}: missing 'solver' object")
-        for key in SOLVER_STAT_KEYS:
-            value = solver.get(key)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(
-                    f"{where}: solver stat {key!r} must be an int"
-                )
-        if not isinstance(solver.get("budget_exhausted"), bool):
-            raise ValueError(
-                f"{where}: solver 'budget_exhausted' must be a bool"
-            )
-        if entry["proven"] and solver["budget_exhausted"]:
-            raise ValueError(
-                f"{where}: 'proven' with an exhausted budget is a "
-                f"contradiction"
-            )
-    summary = payload.get("summary")
-    if not isinstance(summary, dict):
-        raise ValueError("optimal bench report needs a 'summary' object")
-    expected = summarize_optimal_bench(entries)
-    if summary != expected:
-        raise ValueError(
-            f"optimal bench summary {summary} does not match the "
-            f"entries (expect {expected})"
-        )
 
 
 def format_gap_table(entries: List[Dict[str, Any]]) -> str:

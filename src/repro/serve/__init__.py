@@ -30,9 +30,6 @@ from repro.serve.codec import (
 from repro.serve.bench import (
     SERVE_BENCH_SCHEMA,
     collect_serve_bench,
-    make_serve_report,
-    validate_serve_report,
-    write_serve_report,
     zipfian_mix,
 )
 from repro.serve.service import (
@@ -43,7 +40,6 @@ from repro.serve.service import (
     merge_result_snapshots,
     run_batch,
     serve_stream,
-    validate_batch_report,
 )
 
 __all__ = [
@@ -56,9 +52,6 @@ __all__ = [
     "solution_to_dict",
     "SERVE_BENCH_SCHEMA",
     "collect_serve_bench",
-    "make_serve_report",
-    "validate_serve_report",
-    "write_serve_report",
     "zipfian_mix",
     "SERVE_SCHEMA",
     "CompileJob",
@@ -67,5 +60,4 @@ __all__ = [
     "merge_result_snapshots",
     "run_batch",
     "serve_stream",
-    "validate_batch_report",
 ]

@@ -14,7 +14,7 @@ entry runs the same mix twice against one persistent block cache:
 Recorded per entry: wall clock and throughput of both passes, hit rates,
 the cold/warm speedup, and whether every job's assembly and schedule map
 were **bit-identical** across the two passes (the cache must never
-change output — the validator refuses reports where it did).
+change output — :mod:`repro.artifacts` refuses reports where it did).
 
 Schema (``repro/bench-serve/v1``)::
 
@@ -31,7 +31,6 @@ results dir); CI's ``serve-smoke`` job regenerates and validates it.
 
 from __future__ import annotations
 
-import json
 import random
 import tempfile
 from pathlib import Path
@@ -169,68 +168,3 @@ def collect_serve_bench(
     return [entry]
 
 
-def make_serve_report(entries: List[Dict[str, Any]]) -> Dict[str, Any]:
-    """Wrap serve-bench entries in the versioned envelope."""
-    return {"schema": SERVE_BENCH_SCHEMA, "entries": list(entries)}
-
-
-def write_serve_report(path: str, entries: List[Dict[str, Any]]) -> None:
-    """Write a schema-valid ``BENCH_serve.json`` (validated first)."""
-    payload = make_serve_report(entries)
-    validate_serve_report(payload)
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-
-def validate_serve_report(payload: Any) -> None:
-    """Raise :class:`ValueError` unless ``payload`` matches the
-    ``repro/bench-serve/v1`` schema."""
-    if not isinstance(payload, dict):
-        raise ValueError("serve bench report must be a JSON object")
-    if payload.get("schema") != SERVE_BENCH_SCHEMA:
-        raise ValueError(
-            f"serve bench schema must be {SERVE_BENCH_SCHEMA!r}, "
-            f"got {payload.get('schema')!r}"
-        )
-    entries = payload.get("entries")
-    if not isinstance(entries, list) or not entries:
-        raise ValueError("serve bench report needs a non-empty 'entries' list")
-    for position, entry in enumerate(entries):
-        where = f"entry #{position}"
-        if not isinstance(entry, dict):
-            raise ValueError(f"{where} is not an object")
-        if not isinstance(entry.get("mix"), str) or not entry["mix"]:
-            raise ValueError(f"{where}: missing string 'mix'")
-        for key in ("jobs", "unique_jobs", "workers"):
-            if not isinstance(entry.get(key), int) or entry[key] < 0:
-                raise ValueError(f"{where}: {key!r} must be a non-negative int")
-        if entry["unique_jobs"] > entry["jobs"]:
-            raise ValueError(f"{where}: more unique jobs than jobs")
-        for key in (
-            "cold_s",
-            "warm_s",
-            "speedup",
-            "cold_jobs_per_second",
-            "warm_jobs_per_second",
-        ):
-            value = entry.get(key)
-            if not isinstance(value, (int, float)) or value < 0:
-                raise ValueError(
-                    f"{where}: {key!r} must be a non-negative number"
-                )
-        for key in ("cold_hit_rate", "warm_hit_rate"):
-            value = entry.get(key)
-            if not isinstance(value, (int, float)) or not 0 <= value <= 1:
-                raise ValueError(f"{where}: {key!r} must be in [0, 1]")
-        if entry.get("identical") is not True:
-            raise ValueError(
-                f"{where}: cold and warm outputs differed — a cache hit "
-                f"must be bit-identical to a cold compile"
-            )
-        cache = entry.get("cache")
-        if not isinstance(cache, dict):
-            raise ValueError(f"{where}: missing 'cache' counters")
-        for name, value in cache.items():
-            if not isinstance(name, str) or not isinstance(value, int):
-                raise ValueError(f"{where}: cache counter {name!r} not an int")

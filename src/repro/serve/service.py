@@ -28,6 +28,9 @@ SERVE_SCHEMA = "repro/serve/v1"
 #: Job statuses that are *results*, not crashes.
 STRUCTURED_FAILURES = ("coverage_error", "verification_error")
 
+#: Every status a job result can carry.
+JOB_STATUSES = ("ok",) + STRUCTURED_FAILURES + ("error",)
+
 
 @dataclass
 class CompileJob:
@@ -65,7 +68,7 @@ class CompileJob:
 
 
 #: Cache counters surfaced per job result.
-_CACHE_COUNTERS = ("hits", "misses", "stores", "evictions", "bad_entries")
+CACHE_COUNTERS = ("hits", "misses", "stores", "evictions", "bad_entries")
 
 
 def execute_job(
@@ -151,7 +154,7 @@ def execute_job(
     result["wall_s"] = time.perf_counter() - started
     result["cache"] = {
         name: session.counter(f"serve.cache_{name}")
-        for name in _CACHE_COUNTERS
+        for name in CACHE_COUNTERS
     }
     registry.count("obs.requests_total")
     registry.count(f"obs.requests_{result['status']}")
@@ -233,9 +236,9 @@ def make_batch_report(
     """
     from repro.obs.export import snapshot_export
 
-    cache = {name: 0 for name in _CACHE_COUNTERS}
+    cache = {name: 0 for name in CACHE_COUNTERS}
     for result in results:
-        for name in _CACHE_COUNTERS:
+        for name in CACHE_COUNTERS:
             cache[name] += result.get("cache", {}).get(name, 0)
     probes = cache["hits"] + cache["misses"]
     ok = sum(1 for r in results if r["status"] == "ok")
@@ -279,70 +282,6 @@ def merge_result_snapshots(results: List[Dict[str, Any]]):
         for result in results
         if isinstance(result.get("obs"), dict)
     )
-
-
-def validate_batch_report(payload: Any) -> None:
-    """Raise :class:`ValueError` unless ``payload`` is a well-formed
-    ``repro/serve/v1`` batch report."""
-    if not isinstance(payload, dict):
-        raise ValueError("batch report must be a JSON object")
-    if payload.get("schema") != SERVE_SCHEMA:
-        raise ValueError(
-            f"batch report schema must be {SERVE_SCHEMA!r}, "
-            f"got {payload.get('schema')!r}"
-        )
-    results = payload.get("results")
-    if not isinstance(results, list):
-        raise ValueError("batch report needs a 'results' list")
-    for position, result in enumerate(results):
-        where = f"result #{position}"
-        if not isinstance(result, dict):
-            raise ValueError(f"{where} is not an object")
-        if not isinstance(result.get("job_id"), str):
-            raise ValueError(f"{where}: missing string 'job_id'")
-        status = result.get("status")
-        if status not in ("ok",) + STRUCTURED_FAILURES + ("error",):
-            raise ValueError(f"{where}: unknown status {status!r}")
-        if status == "ok":
-            if not isinstance(result.get("assembly"), str):
-                raise ValueError(f"{where}: ok result needs 'assembly'")
-            metrics = result.get("metrics")
-            if not isinstance(metrics, dict) or "instructions" not in metrics:
-                raise ValueError(f"{where}: ok result needs metrics")
-            if not isinstance(result.get("schedules"), dict):
-                raise ValueError(f"{where}: ok result needs 'schedules'")
-        elif not isinstance(result.get("error"), str):
-            raise ValueError(f"{where}: failed result needs 'error'")
-        cache = result.get("cache")
-        if not isinstance(cache, dict):
-            raise ValueError(f"{where}: missing 'cache' counters")
-        for name in _CACHE_COUNTERS:
-            if not isinstance(cache.get(name), int):
-                raise ValueError(f"{where}: cache counter {name!r} missing")
-        obs = result.get("obs")
-        if not isinstance(obs, dict) or not isinstance(
-            obs.get("counters"), dict
-        ):
-            raise ValueError(f"{where}: missing 'obs' metrics snapshot")
-    obs_export = payload.get("obs")
-    if obs_export is not None:
-        from repro.obs.export import validate_metrics_export
-
-        try:
-            validate_metrics_export(obs_export)
-        except ValueError as error:
-            raise ValueError(f"batch report 'obs' export: {error}")
-    totals = payload.get("totals")
-    if not isinstance(totals, dict):
-        raise ValueError("batch report needs a 'totals' object")
-    for name in ("jobs", "ok", "structured_failures", "errors"):
-        if not isinstance(totals.get(name), int):
-            raise ValueError(f"totals: {name!r} must be an int")
-    if totals["jobs"] != len(results):
-        raise ValueError("totals: 'jobs' disagrees with the result count")
-    for name in ("wall_s", "jobs_per_second", "cache_hit_rate"):
-        if not isinstance(totals.get(name), (int, float)):
-            raise ValueError(f"totals: {name!r} must be a number")
 
 
 def serve_stream(
@@ -390,7 +329,8 @@ def serve_stream(
         request_event,
         stream_event,
     )
-    from repro.obs.export import snapshot_export, write_metrics_export
+    from repro.artifacts import write_artifact
+    from repro.obs.export import snapshot_export
     from repro.obs.metrics import MetricsRegistry, MetricsSnapshot
     from repro.obs.recorder import FlightRecorder
 
@@ -449,7 +389,7 @@ def serve_stream(
                 "status": "error",
                 "error": f"bad request: {error}",
                 "metrics": {},
-                "cache": {name: 0 for name in _CACHE_COUNTERS},
+                "cache": {name: 0 for name in CACHE_COUNTERS},
                 "wall_s": 0.0,
             }
             stream_registry.count("obs.requests_total")
@@ -523,5 +463,5 @@ def serve_stream(
                 "obs.cache_hit_rate",
                 merged.counters.get("obs.cache_hits", 0) / probes,
             )
-        write_metrics_export(metrics_out, merged)
+        write_artifact(metrics_out, snapshot_export(merged))
     return served

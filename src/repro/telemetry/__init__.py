@@ -44,15 +44,6 @@ from repro.telemetry.bench import (
     collect_codegen_bench,
     collect_cover_bench,
     collect_sndag_bench,
-    make_bench_report,
-    make_cover_report,
-    make_sndag_report,
-    validate_bench_report,
-    validate_cover_report,
-    validate_sndag_report,
-    write_bench_report,
-    write_cover_report,
-    write_sndag_report,
 )
 
 __all__ = [
@@ -78,13 +69,4 @@ __all__ = [
     "collect_codegen_bench",
     "collect_cover_bench",
     "collect_sndag_bench",
-    "make_bench_report",
-    "make_cover_report",
-    "make_sndag_report",
-    "validate_bench_report",
-    "validate_cover_report",
-    "validate_sndag_report",
-    "write_bench_report",
-    "write_cover_report",
-    "write_sndag_report",
 ]

@@ -7,7 +7,7 @@ spills, cycles).  The file is written by
 ``benchmarks/test_bench_codegen_profile.py`` and by
 ``repro profile --bench-out``; CI validates it on every push, so any PR
 that regresses compile time or blows up the search shows up in the
-artifact diff.
+artifact diff.  Each ledger's shape lives in :mod:`repro.artifacts`.
 
 Schema (``repro/bench-codegen/v1``)::
 
@@ -42,7 +42,6 @@ regenerates and schema-validates it on every push.
 
 from __future__ import annotations
 
-import json
 import time
 from typing import Any, Dict, List, Optional
 
@@ -50,9 +49,8 @@ BENCH_SCHEMA = "repro/bench-codegen/v1"
 
 COVER_BENCH_SCHEMA = "repro/bench-cover/v1"
 
-#: Search counters every bench entry is expected to carry (the paper's
-#: interesting internals); validation only checks presence when the
-#: compile actually exercised the covering engine.
+#: Search counters every bench entry must carry (the paper's
+#: interesting internals).
 CORE_COUNTERS = (
     "assign.alternatives_scored",
     "cliques.enumerated",
@@ -73,72 +71,6 @@ def bench_entry(
         "metrics": dict(metrics or {}),
         "report": report,
     }
-
-
-def make_bench_report(entries: List[Dict[str, Any]]) -> Dict[str, Any]:
-    """Wrap entries in the versioned envelope."""
-    return {"schema": BENCH_SCHEMA, "entries": list(entries)}
-
-
-def write_bench_report(path: str, entries: List[Dict[str, Any]]) -> None:
-    """Write a schema-valid ``BENCH_codegen.json`` (validated first)."""
-    payload = make_bench_report(entries)
-    validate_bench_report(payload)
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-
-def validate_bench_report(payload: Any) -> None:
-    """Raise :class:`ValueError` unless ``payload`` matches the
-    ``repro/bench-codegen/v1`` schema."""
-    if not isinstance(payload, dict):
-        raise ValueError("bench report must be a JSON object")
-    if payload.get("schema") != BENCH_SCHEMA:
-        raise ValueError(
-            f"bench report schema must be {BENCH_SCHEMA!r}, "
-            f"got {payload.get('schema')!r}"
-        )
-    entries = payload.get("entries")
-    if not isinstance(entries, list) or not entries:
-        raise ValueError("bench report needs a non-empty 'entries' list")
-    for position, entry in enumerate(entries):
-        where = f"entry #{position}"
-        if not isinstance(entry, dict):
-            raise ValueError(f"{where} is not an object")
-        for key in ("workload", "machine"):
-            if not isinstance(entry.get(key), str) or not entry[key]:
-                raise ValueError(f"{where}: missing string {key!r}")
-        metrics = entry.get("metrics")
-        if not isinstance(metrics, dict):
-            raise ValueError(f"{where}: missing 'metrics' object")
-        report = entry.get("report")
-        if not isinstance(report, dict):
-            raise ValueError(f"{where}: missing 'report' object")
-        phases = report.get("phases")
-        counters = report.get("counters")
-        if not isinstance(phases, list) or not phases:
-            raise ValueError(f"{where}: report needs a non-empty phase list")
-        for phase in phases:
-            if not isinstance(phase, dict):
-                raise ValueError(f"{where}: phase entries must be objects")
-            for key, kind in (
-                ("path", str), ("calls", int), ("wall_s", (int, float)),
-                ("cpu_s", (int, float)),
-            ):
-                if not isinstance(phase.get(key), kind):
-                    raise ValueError(
-                        f"{where}: phase {phase.get('path')!r} "
-                        f"missing {key!r}"
-                    )
-        if not isinstance(counters, dict):
-            raise ValueError(f"{where}: report needs a 'counters' object")
-        for name, value in counters.items():
-            if not isinstance(name, str) or not isinstance(value, int):
-                raise ValueError(f"{where}: counter {name!r} must map to int")
-        for name in CORE_COUNTERS:
-            if name not in counters:
-                raise ValueError(f"{where}: core counter {name!r} missing")
 
 
 def collect_codegen_bench(
@@ -326,69 +258,6 @@ def collect_cover_bench(
     return entries
 
 
-def make_cover_report(entries: List[Dict[str, Any]]) -> Dict[str, Any]:
-    """Wrap cover-bench entries in the versioned envelope."""
-    return {"schema": COVER_BENCH_SCHEMA, "entries": list(entries)}
-
-
-def write_cover_report(path: str, entries: List[Dict[str, Any]]) -> None:
-    """Write a schema-valid ``BENCH_cover.json`` (validated first)."""
-    payload = make_cover_report(entries)
-    validate_cover_report(payload)
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-
-def validate_cover_report(payload: Any) -> None:
-    """Raise :class:`ValueError` unless ``payload`` matches the
-    ``repro/bench-cover/v1`` schema."""
-    if not isinstance(payload, dict):
-        raise ValueError("cover bench report must be a JSON object")
-    if payload.get("schema") != COVER_BENCH_SCHEMA:
-        raise ValueError(
-            f"cover bench schema must be {COVER_BENCH_SCHEMA!r}, "
-            f"got {payload.get('schema')!r}"
-        )
-    entries = payload.get("entries")
-    if not isinstance(entries, list) or not entries:
-        raise ValueError("cover bench report needs a non-empty 'entries' list")
-    for position, entry in enumerate(entries):
-        where = f"entry #{position}"
-        if not isinstance(entry, dict):
-            raise ValueError(f"{where} is not an object")
-        for key in ("workload", "machine"):
-            if not isinstance(entry.get(key), str) or not entry[key]:
-                raise ValueError(f"{where}: missing string {key!r}")
-        value = entry.get("wall_s")
-        if not isinstance(value, (int, float)) or value < 0:
-            raise ValueError(f"{where}: 'wall_s' must be a non-negative number")
-        if not isinstance(entry.get("heavy"), bool):
-            raise ValueError(f"{where}: 'heavy' must be a bool")
-        if not isinstance(entry.get("config"), dict):
-            raise ValueError(f"{where}: missing 'config' object")
-        if not isinstance(entry.get("metrics"), dict):
-            raise ValueError(f"{where}: missing 'metrics' object")
-        counters = entry.get("counters")
-        if not isinstance(counters, dict):
-            raise ValueError(f"{where}: missing 'counters' object")
-        for counter_name, value in counters.items():
-            if not isinstance(counter_name, str) or not isinstance(value, int):
-                raise ValueError(
-                    f"{where}: counter {counter_name!r} must map to int"
-                )
-        for counter_name in COVER_COUNTERS:
-            if counter_name not in counters:
-                raise ValueError(
-                    f"{where}: core counter {counter_name!r} missing"
-                )
-    if not any(entry["heavy"] for entry in entries):
-        raise ValueError(
-            "cover bench report needs at least one heavy (clique-bound) "
-            "workload entry"
-        )
-
-
 # ----------------------------------------------------------------------
 # Split-Node DAG transfer-materialisation bench (BENCH_sndag.json)
 # ----------------------------------------------------------------------
@@ -455,62 +324,3 @@ def collect_sndag_bench(
     return entries
 
 
-def make_sndag_report(entries: List[Dict[str, Any]]) -> Dict[str, Any]:
-    """Wrap sndag-bench entries in the versioned envelope."""
-    return {"schema": SNDAG_BENCH_SCHEMA, "entries": list(entries)}
-
-
-def write_sndag_report(path: str, entries: List[Dict[str, Any]]) -> None:
-    """Write a schema-valid ``BENCH_sndag.json`` (validated first)."""
-    payload = make_sndag_report(entries)
-    validate_sndag_report(payload)
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-
-def validate_sndag_report(payload: Any) -> None:
-    """Raise :class:`ValueError` unless ``payload`` matches the
-    ``repro/bench-sndag/v1`` schema."""
-    if not isinstance(payload, dict):
-        raise ValueError("sndag bench report must be a JSON object")
-    if payload.get("schema") != SNDAG_BENCH_SCHEMA:
-        raise ValueError(
-            f"sndag bench schema must be {SNDAG_BENCH_SCHEMA!r}, "
-            f"got {payload.get('schema')!r}"
-        )
-    entries = payload.get("entries")
-    if not isinstance(entries, list) or not entries:
-        raise ValueError("sndag bench report needs a non-empty 'entries' list")
-    for position, entry in enumerate(entries):
-        where = f"entry #{position}"
-        if not isinstance(entry, dict):
-            raise ValueError(f"{where} is not an object")
-        for key in ("workload", "machine"):
-            if not isinstance(entry.get(key), str) or not entry[key]:
-                raise ValueError(f"{where}: missing string {key!r}")
-        value = entry.get("lazy_build_s")
-        if not isinstance(value, (int, float)) or value < 0:
-            raise ValueError(
-                f"{where}: 'lazy_build_s' must be a non-negative number"
-            )
-        for key in (
-            "eager_transfer_nodes",
-            "lazy_transfer_nodes",
-            "avoided_transfer_nodes",
-            "paths_folded",
-            "eager_total_nodes",
-            "lazy_total_nodes",
-        ):
-            value = entry.get(key)
-            if not isinstance(value, int) or value < 0:
-                raise ValueError(
-                    f"{where}: {key!r} must be a non-negative int"
-                )
-        if not isinstance(entry.get("metrics"), dict):
-            raise ValueError(f"{where}: missing 'metrics' object")
-    if not any(entry["avoided_transfer_nodes"] > 0 for entry in entries):
-        raise ValueError(
-            "sndag bench report shows no avoided transfer nodes anywhere "
-            "— lazy materialisation is not doing its job"
-        )

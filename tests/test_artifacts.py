@@ -1,0 +1,471 @@
+"""The one artifact checker: registration, committed files, mutations.
+
+Every in-scope ``repro/*/v1`` stamp is registered in
+:data:`repro.artifacts.SCHEMAS`; every committed ledger and the trend
+baseline load through :func:`read_artifact`; and a mutation sweep over
+one small valid sample per stamp proves the checker never crashes: each
+key path (the first three items of every list) is replaced with
+``None, [], {}, "x", -1, 1.5, True`` and deleted, and ``validate`` must
+either accept or raise :class:`ValueError` — and reject every deletion
+the sample does not list as optional.
+"""
+
+from __future__ import annotations
+
+import fnmatch
+import json
+from pathlib import Path
+
+import pytest
+
+from repro.artifacts import SCHEMAS, read_artifact, validate, write_artifact
+
+REPO = Path(__file__).parent.parent
+
+#: Every stamp the table must cover (the block codec and cache
+#: envelopes are deliberately out of scope).
+STAMPS = (
+    "repro/bench-codegen/v1",
+    "repro/bench-cover/v1",
+    "repro/bench-sndag/v1",
+    "repro/bench-serve/v1",
+    "repro/bench-optimal/v1",
+    "repro/bench-explore/v1",
+    "repro/serve/v1",
+    "repro/explain/v1",
+    "repro/metrics/v1",
+    "repro/events/v1",
+    "repro/flight/v1",
+    "repro/flight-summary/v1",
+    "repro/trend-baseline/v1",
+    "repro/trend/v1",
+)
+
+REPLACEMENTS = (None, [], {}, "x", -1, 1.5, True)
+
+
+# ----------------------------------------------------------------------
+# One small valid sample per stamp (builder, deletable key patterns)
+# ----------------------------------------------------------------------
+
+
+def _codegen():
+    from repro.telemetry.bench import BENCH_SCHEMA, collect_codegen_bench
+
+    return {"schema": BENCH_SCHEMA, "entries": collect_codegen_bench(["Ex1"])}
+
+
+def _cover():
+    return {
+        "schema": "repro/bench-cover/v1",
+        "entries": [
+            {
+                "workload": "sop8-nowin",
+                "machine": "arch1_r4",
+                "config": {"level_window": None, "num_assignments": 2},
+                "heavy": True,
+                "wall_s": 0.25,
+                "metrics": {"instructions": 12, "spills": 0},
+                "counters": {
+                    "cliques.mask_kernel_calls": 4,
+                    "cover.iterations": 12,
+                },
+            }
+        ],
+    }
+
+
+def _sndag():
+    from repro.telemetry.bench import SNDAG_BENCH_SCHEMA, collect_sndag_bench
+
+    return {
+        "schema": SNDAG_BENCH_SCHEMA,
+        "entries": collect_sndag_bench(["Ex2"]),
+    }
+
+
+def _serve_bench():
+    return {
+        "schema": "repro/bench-serve/v1",
+        "entries": [
+            {
+                "mix": "zipf-e1.2-seed0",
+                "jobs": 32,
+                "unique_jobs": 8,
+                "workers": 0,
+                "cold_s": 2.0,
+                "warm_s": 0.5,
+                "speedup": 4.0,
+                "cold_hit_rate": 0.5,
+                "warm_hit_rate": 1.0,
+                "cold_jobs_per_second": 16.0,
+                "warm_jobs_per_second": 64.0,
+                "identical": True,
+                "cache": {"hits": 40, "misses": 10},
+            }
+        ],
+    }
+
+
+def _optimal():
+    from repro.optimal.bench import summarize_optimal_bench
+
+    entries = [
+        {
+            "workload": "Ex2",
+            "machine": "arch1_r4",
+            "registers": 4,
+            "heuristic_cost": 11,
+            "optimal_cost": 10,
+            "gap": 1,
+            "proven": True,
+            "spill_free": True,
+            "heuristic_spills": 0,
+            "cpu_seconds": 0.5,
+            "solver": {
+                "assignments_searched": 3,
+                "unsat_assignments": 2,
+                "sat_calls": 4,
+                "conflicts": 30,
+                "decisions": 40,
+                "propagations": 500,
+                "learned_clauses": 25,
+                "restarts": 0,
+                "variables": 100,
+                "clauses": 400,
+                "conflict_budget": 50000,
+                "budget_exhausted": False,
+            },
+        }
+    ]
+    return {
+        "schema": "repro/bench-optimal/v1",
+        "summary": summarize_optimal_bench(entries),
+        "entries": entries,
+    }
+
+
+def _explore():
+    from repro.explore import (
+        default_workloads,
+        load_base_machines,
+        run_explore,
+    )
+
+    payload, _timing = run_explore(
+        seed=1,
+        population=3,
+        bases=load_base_machines()[:2],
+        workloads=default_workloads(None)[:2],
+    )
+    return payload
+
+
+def _jobs():
+    from repro.isdl import example_architecture
+    from repro.isdl.writer import machine_to_isdl
+    from repro.serve import CompileJob
+
+    isdl = machine_to_isdl(example_architecture(4))
+    return [
+        CompileJob("good", "y = (a + b) - (c * d);", isdl),
+        CompileJob("branchy", "if (a > b) { y = a; } else { y = b; }", isdl),
+    ]
+
+
+def _batch():
+    from repro.serve import run_batch
+
+    return run_batch(_jobs())
+
+
+def _explain():
+    from repro.explain import explain_source
+    from repro.isdl import example_architecture
+
+    report, _compiled, _error = explain_source(
+        "y = (a + b) * (a - c);", example_architecture(4)
+    )
+    return report
+
+
+def _metrics():
+    from repro.obs.export import snapshot_export
+    from repro.obs.metrics import MetricsRegistry
+
+    registry = MetricsRegistry()
+    registry.count("obs.requests_total", 2)
+    registry.observe("obs.request_instructions", 11)
+    registry.set_gauge("obs.workers", 2.0)
+    return snapshot_export(registry.snapshot())
+
+
+def _event():
+    from repro.obs.events import request_event
+
+    return request_event(
+        "req-000001-abc",
+        "error",
+        job_id="good",
+        machine="arch1_r4",
+        wall_s=0.25,
+        metrics={"instructions": 7},
+        error="boom",
+        telemetry={"spans": [{"path": "compile", "calls": 1}]},
+        journal_entries=3,
+        flight_artifact="flight-req-000001-abc.json",
+    )
+
+
+def _flight():
+    return {
+        "schema": "repro/flight/v1",
+        "reason": "slow",
+        "request_id": "req-000001-abc",
+        "threshold_s": 0.0,
+        "wall_s": 0.25,
+        "request": '{"id": "good"}',
+        "result": {"job_id": "good", "status": "ok"},
+        "metrics": {"schema": "repro/metrics/v1"},
+        "telemetry": {"phases": []},
+        "trace": {"traceEvents": [{"ph": "X", "name": "compile"}]},
+        "journal": [{"seq": 0, "kind": "memo.miss"}],
+    }
+
+
+def _flight_summary(tmp_path):
+    from repro.obs.recorder import FlightRecorder
+
+    recorder = FlightRecorder(tmp_path, threshold_s=1.0)
+    for seq, status in enumerate(("ok", "error", "coverage_error")):
+        recorder.observe(
+            f"req-00000{seq}-abc", "{}",
+            {"job_id": f"j{seq}", "status": status}, wall_s=0.1 * seq,
+        )
+    return json.loads(recorder.write_summary().read_text())
+
+
+def _trend_metrics():
+    return {
+        "codegen.Ex1.arch1_r4.instructions": {
+            "value": 7, "direction": "min", "tolerance": 0.0, "gate": True,
+        },
+        "optimal.summary.proven": {
+            "value": 10, "direction": "max", "tolerance": 0.0, "gate": True,
+        },
+        "serve.zipf.speedup": {
+            "value": 4.0, "direction": "max", "tolerance": 0.0,
+            "gate": False,
+        },
+    }
+
+
+def _trend_baseline():
+    from repro.obs.trend import make_baseline
+
+    return make_baseline(_trend_metrics())
+
+
+def _trend():
+    from repro.obs.trend import compare, make_baseline
+
+    current = _trend_metrics()
+    current["codegen.Ex1.arch1_r4.instructions"] = dict(
+        current["codegen.Ex1.arch1_r4.instructions"], value=9
+    )
+    del current["optimal.summary.proven"]
+    current["codegen.Ex9.arch1_r4.instructions"] = dict(
+        current["codegen.Ex1.arch1_r4.instructions"]
+    )
+    return compare(make_baseline(_trend_metrics()), current)
+
+
+#: stamp -> (sample builder, key-path patterns whose deletion is fine).
+#: Paths join keys with "/" and write list indices as "*".
+SAMPLES = {
+    "repro/bench-codegen/v1": (_codegen, (
+        "entries/*/metrics/body_instructions",
+        "entries/*/metrics/original_nodes",
+        "entries/*/report/*",
+    )),
+    "repro/bench-cover/v1": (_cover, (
+        "entries/*/config/*", "entries/*/metrics/spills",
+    )),
+    "repro/bench-sndag/v1": (_sndag, ("entries/*/metrics/*",)),
+    "repro/bench-serve/v1": (_serve_bench, ("entries/*/cache/*",)),
+    "repro/bench-optimal/v1": (_optimal, (
+        "entries/*/solver/conflict_budget",
+    )),
+    "repro/bench-explore/v1": (_explore, (
+        "meta/requested_population", "meta/machgen_share",
+        "candidates/*/origin", "candidates/*/optimal",
+        "candidates/*/metrics/tasks", "candidates/*/metrics/lower_bound",
+        "candidates/*/metrics/ipc", "candidates/*/workloads/*/workload",
+        "candidates/*/workloads/*/metrics",
+        "candidates/*/workloads/*/metrics/*",
+        "candidates/*/workloads/*/error",
+        "frontier/*/origin", "frontier/*/ipc",
+    )),
+    "repro/serve/v1": (_batch, (
+        "workers", "totals/cache", "totals/cache/*",
+        "results/*/request_id", "results/*/machine", "results/*/wall_s",
+        "results/*/telemetry", "results/*/telemetry/*",
+        "results/*/metrics", "results/*/metrics/*",
+        "results/*/assembly", "results/*/schedules", "results/*/schedules/*",
+        "results/*/error", "results/*/obs/*",
+        "obs", "obs/gauges/*",
+    )),
+    "repro/explain/v1": (_explain, (
+        "meta/*", "blocks/*/decisions/*/data/*",
+        "blocks/*/quality/*/*", "blocks/*/timeline/*/*/*",
+    )),
+    "repro/metrics/v1": (_metrics, ()),
+    "repro/events/v1": (_event, (
+        "telemetry", "telemetry/spans/*/calls", "journal_entries",
+        "flight_artifact", "metrics/*",
+    )),
+    "repro/flight/v1": (_flight, (
+        "result/job_id", "metrics/*", "telemetry/*", "trace/traceEvents/*",
+        "journal/*/*",
+    )),
+    "repro/flight-summary/v1": (_flight_summary, ()),
+    "repro/trend-baseline/v1": (_trend_baseline, ("metrics/*",)),
+    "repro/trend/v1": (_trend, ()),
+}
+
+
+def _build(stamp, tmp_path):
+    builder = SAMPLES[stamp][0]
+    return builder(tmp_path) if builder is _flight_summary else builder()
+
+
+def _key_paths(value, prefix=()):
+    """Every key path into ``value``: all object keys, the first three
+    items of every list."""
+    if isinstance(value, dict):
+        keys = list(value)
+    elif isinstance(value, list):
+        keys = range(min(3, len(value)))
+    else:
+        return
+    for key in keys:
+        yield prefix + (key,)
+        yield from _key_paths(value[key], prefix + (key,))
+
+
+def _pattern_path(path):
+    return "/".join("*" if isinstance(k, int) else str(k) for k in path)
+
+
+def _outcome(payload):
+    try:
+        validate(payload)
+    except ValueError:
+        return "rejected"
+    return "accepted"
+
+
+def _mutations(payload):
+    """(path, label, outcome) for every mutation of ``payload``; each
+    mutation is applied in place and undone before the next."""
+    for path in list(_key_paths(payload)):
+        parent = payload
+        for key in path[:-1]:
+            parent = parent[key]
+        key = path[-1]
+        original = parent[key]
+        for replacement in REPLACEMENTS:
+            parent[key] = replacement
+            yield path, f"= {json.dumps(replacement)}", _outcome(payload)
+        parent[key] = original
+        if isinstance(parent, dict):
+            items = list(parent.items())
+            del parent[key]
+            yield path, "deleted", _outcome(payload)
+            parent.clear()
+            parent.update(items)
+
+
+class TestRegistry:
+    def test_every_stamp_registered(self):
+        assert sorted(SCHEMAS) == sorted(STAMPS)
+
+    def test_unknown_and_mismatched_stamps_rejected(self):
+        with pytest.raises(ValueError, match="unknown artifact schema"):
+            validate({"schema": "repro/bench-cover/v0"})
+        with pytest.raises(ValueError, match=r"\$\.schema"):
+            validate(_cover(), "repro/bench-sndag/v1")
+        for payload in (None, [], "x", {"schema": ["repro/trend/v1"]}):
+            with pytest.raises(ValueError):
+                validate(payload)
+
+    def test_errors_name_the_json_path(self):
+        payload = _metrics()
+        payload["histograms"]["obs.request_blocks"]["bounds"] = None
+        with pytest.raises(ValueError) as caught:
+            validate(payload)
+        assert str(caught.value) == (
+            '$.histograms["obs.request_blocks"].bounds: expected a list, '
+            "got null"
+        )
+
+
+class TestReadWrite:
+    def test_write_is_canonical_and_atomic(self, tmp_path):
+        payload = _cover()
+        target = tmp_path / "nested" / "BENCH_cover.json"
+        write_artifact(target, payload)
+        assert target.read_text() == (
+            json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        )
+        assert sorted(p.name for p in target.parent.iterdir()) == [
+            "BENCH_cover.json"
+        ]
+        assert read_artifact(target, "repro/bench-cover/v1") == payload
+
+    def test_write_validates_first(self, tmp_path):
+        payload = _cover()
+        payload["entries"][0]["heavy"] = False
+        target = tmp_path / "BENCH_cover.json"
+        with pytest.raises(ValueError, match="heavy"):
+            write_artifact(target, payload)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_read_names_the_file(self, tmp_path):
+        path = tmp_path / "broken.json"
+        path.write_text("{not json")
+        with pytest.raises(ValueError, match="broken.json"):
+            read_artifact(path)
+        path.write_text(json.dumps({"schema": "repro/metrics/v1"}))
+        with pytest.raises(ValueError, match=r"broken.json: \$: missing"):
+            read_artifact(path)
+        with pytest.raises(OSError):
+            read_artifact(tmp_path / "absent.json")
+
+
+@pytest.mark.parametrize(
+    "name",
+    sorted(path.name for path in REPO.glob("BENCH_*.json"))
+    + ["benchmarks/trend_baseline.json"],
+)
+def test_committed_artifact_reads(name):
+    payload = read_artifact(REPO / name)
+    assert payload["schema"] in SCHEMAS
+
+
+@pytest.mark.parametrize("stamp", STAMPS)
+def test_mutation_sweep(stamp, tmp_path):
+    payload = _build(stamp, tmp_path)
+    validate(payload, stamp)
+    optional = SAMPLES[stamp][1]
+    accepted_deletions = []
+    count = 0
+    for path, label, outcome in _mutations(payload):
+        count += 1
+        if label == "deleted" and outcome == "accepted":
+            pattern = _pattern_path(path)
+            if not any(fnmatch.fnmatchcase(pattern, o) for o in optional):
+                accepted_deletions.append(pattern)
+    assert count > 10
+    assert accepted_deletions == []
+    validate(payload, stamp)  # every mutation was undone

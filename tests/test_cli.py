@@ -279,9 +279,7 @@ class TestProfiling:
     def test_profile_command_bench_out(
         self, program_file, tmp_path, capsys
     ):
-        import json
-
-        from repro.telemetry import validate_bench_report
+        from repro.artifacts import read_artifact
 
         bench_path = tmp_path / "BENCH_codegen.json"
         code = main(
@@ -296,7 +294,7 @@ class TestProfiling:
             ]
         )
         assert code == 0
-        validate_bench_report(json.loads(bench_path.read_text()))
+        read_artifact(bench_path, "repro/bench-codegen/v1")
 
 
 class TestExplain:
@@ -310,11 +308,11 @@ class TestExplain:
     def test_explain_json_is_schema_valid(self, program_file, capsys):
         import json
 
-        from repro.explain import validate_explain_report
+        from repro.artifacts import validate
 
         assert main(["explain", program_file, "-m", "arch1", "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
-        validate_explain_report(report)
+        validate(report, "repro/explain/v1")
         assert report["decision_counts"].get("cover.step", 0) > 0
 
     def test_explain_kernels_identical_via_cli(self, program_file, capsys):
@@ -389,3 +387,26 @@ class TestExplain:
         # tests/test_explain.py via find_decision).
         for block in result["blocks"]:
             assert block["violations"] == []
+
+
+class TestMalformedArtifacts:
+    def test_metrics_with_null_bounds_is_a_one_line_error(
+        self, tmp_path, capsys
+    ):
+        import json
+
+        from repro.obs.export import snapshot_export
+        from repro.obs.metrics import MetricsRegistry
+
+        payload = snapshot_export(MetricsRegistry().snapshot())
+        good = tmp_path / "good.json"
+        good.write_text(json.dumps(payload))
+        payload["histograms"]["obs.request_blocks"]["bounds"] = None
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        for argv in (["metrics", str(bad)],
+                     ["metrics", str(good), "--diff", str(bad)]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {bad}: $.histograms")
+            assert "bounds" in err and err.count("\n") == 1

@@ -19,6 +19,7 @@ import pytest
 from conftest import build_fig6_dag
 from reference_kernel import reference_kernel
 
+from repro.artifacts import validate
 from repro.covering.config import HeuristicConfig
 from repro.explain import (
     DECISION_KINDS,
@@ -32,7 +33,6 @@ from repro.explain import (
     render_diff_text,
     render_html,
     render_text,
-    validate_explain_report,
 )
 from repro.isdl import example_architecture
 from repro.isdl.builtin_machines import BUILTIN_MACHINES
@@ -83,7 +83,7 @@ class TestJournal:
         journal.emit("not.a.kind")
         report = build_explain_report(journal)
         with pytest.raises(ValueError, match="unknown decision kind"):
-            validate_explain_report(report)
+            validate(report, EXPLAIN_SCHEMA)
 
     def test_seq_strictly_increasing(self):
         journal = DecisionJournal()
@@ -153,7 +153,7 @@ class TestAcceptance:
 
     def test_fir4_on_fig6_schema_and_steps(self, arch_fig6):
         report, compiled = _explain(FIR4, arch_fig6)
-        validate_explain_report(report)
+        validate(report, EXPLAIN_SCHEMA)
         assert report["schema"] == EXPLAIN_SCHEMA
         counts = report["decision_counts"]
         assert counts.get("cover.step", 0) > 0
@@ -190,7 +190,7 @@ class TestAcceptance:
         with use_session(TelemetrySession(journal=journal)):
             compiled = compile_dag(build_fig6_dag(), arch_fig6)
         report = build_explain_report(journal, compiled)
-        validate_explain_report(report)
+        validate(report, EXPLAIN_SCHEMA)
         steps = [
             entry
             for block in report["blocks"]
@@ -297,7 +297,7 @@ class TestLinking:
         )
         assert error is not None, "add-only machine covered a MUL"
         assert compiled is None
-        validate_explain_report(report)
+        validate(report, EXPLAIN_SCHEMA)
         assert "error" in report["meta"]
 
 

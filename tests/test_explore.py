@@ -6,11 +6,14 @@ on the happy path."""
 from __future__ import annotations
 
 import copy
+import json
 import random
 
 import pytest
 
+from repro.artifacts import validate, write_artifact
 from repro.explore import (
+    EXPLORE_SCHEMA,
     MUTATION_OPERATORS,
     area_proxy,
     build_population,
@@ -18,14 +21,11 @@ from repro.explore import (
     default_workloads,
     dominates,
     evaluate_candidate,
-    explore_report_bytes,
     format_explore_table,
     make_payloads,
     mutate_machine,
     pareto_frontier,
     run_explore,
-    validate_explore_report,
-    write_explore_report,
 )
 from repro.explore.population import load_base_machines
 from repro.isdl import example_architecture
@@ -151,14 +151,13 @@ def tiny_payload():
 
 class TestArtifact:
     def test_tiny_run_validates(self, tiny_payload):
-        validate_explore_report(tiny_payload)
+        validate(tiny_payload, EXPLORE_SCHEMA)
         assert tiny_payload["totals"]["candidates"] == 3
         assert tiny_payload["totals"]["frontier"] >= 1
 
-    def test_report_bytes_round_trip(self, tiny_payload):
-        import json
-
-        raw = explore_report_bytes(tiny_payload)
+    def test_report_bytes_round_trip(self, tiny_payload, tmp_path):
+        write_artifact(tmp_path / "BENCH_explore.json", tiny_payload)
+        raw = (tmp_path / "BENCH_explore.json").read_bytes()
         assert raw.endswith(b"\n")
         assert json.loads(raw.decode("utf-8")) == tiny_payload
 
@@ -167,10 +166,12 @@ class TestArtifact:
         bad["schema"] = "repro/bench-explore/v0"
         target = tmp_path / "BENCH_explore.json"
         with pytest.raises(ValueError):
-            write_explore_report(str(target), bad)
+            write_artifact(target, bad)
         assert not target.exists()
-        write_explore_report(str(target), tiny_payload)
-        assert target.read_bytes() == explore_report_bytes(tiny_payload)
+        write_artifact(target, tiny_payload)
+        assert target.read_text() == (
+            json.dumps(tiny_payload, indent=2, sort_keys=True) + "\n"
+        )
 
     def test_table_renders(self, tiny_payload):
         table = format_explore_table(tiny_payload)
@@ -209,7 +210,7 @@ class TestArtifact:
         payload = copy.deepcopy(tiny_payload)
         corrupt(payload)
         with pytest.raises(ValueError):
-            validate_explore_report(payload)
+            validate(payload, EXPLORE_SCHEMA)
 
     def test_dominated_frontier_member_rejected(self, tiny_payload):
         payload = copy.deepcopy(tiny_payload)
@@ -229,7 +230,7 @@ class TestArtifact:
         payload["frontier"].append(member)
         payload["totals"]["frontier"] += 1
         with pytest.raises(ValueError, match="dominated"):
-            validate_explore_report(payload)
+            validate(payload, EXPLORE_SCHEMA)
 
     def test_failed_member_rejected_from_frontier(self, tiny_payload):
         payload = copy.deepcopy(tiny_payload)
@@ -239,7 +240,7 @@ class TestArtifact:
         )
         record["failures"] = 1
         with pytest.raises(ValueError, match="cannot be on the frontier"):
-            validate_explore_report(payload)
+            validate(payload, EXPLORE_SCHEMA)
 
 
 class TestEvaluation:

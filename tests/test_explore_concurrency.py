@@ -15,13 +15,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.explore import (
-    default_workloads,
-    explore_report_bytes,
-    load_base_machines,
-    run_explore,
-    validate_explore_report,
-)
+from repro.artifacts import write_artifact
+from repro.explore import default_workloads, load_base_machines, run_explore
 
 pytestmark = pytest.mark.slow
 
@@ -37,22 +32,28 @@ def inputs():
     }
 
 
+def _artifact_bytes(payload, directory):
+    """Validate and write ``payload`` as ``BENCH_explore.json``; its bytes."""
+    path = directory / "BENCH_explore.json"
+    write_artifact(path, payload)
+    return path.read_bytes()
+
+
 @pytest.fixture(scope="module")
-def serial_bytes(inputs):
+def serial_bytes(inputs, tmp_path_factory):
     payload, timing = run_explore(
         seed=SEED, population=POPULATION, workers=1, **inputs
     )
-    validate_explore_report(payload)
     assert timing["workers"] == 1
-    return explore_report_bytes(payload)
+    return _artifact_bytes(payload, tmp_path_factory.mktemp("serial"))
 
 
-def test_pooled_run_is_byte_identical(inputs, serial_bytes):
+def test_pooled_run_is_byte_identical(inputs, serial_bytes, tmp_path):
     payload, timing = run_explore(
         seed=SEED, population=POPULATION, workers=4, **inputs
     )
     assert timing["workers"] == 4
-    assert explore_report_bytes(payload) == serial_bytes
+    assert _artifact_bytes(payload, tmp_path) == serial_bytes
 
 
 def test_cache_warmed_run_is_byte_identical(inputs, serial_bytes, tmp_path):
@@ -60,10 +61,10 @@ def test_cache_warmed_run_is_byte_identical(inputs, serial_bytes, tmp_path):
     cold, _ = run_explore(
         seed=SEED, population=POPULATION, workers=4, cache_dir=cache, **inputs
     )
-    assert explore_report_bytes(cold) == serial_bytes
+    assert _artifact_bytes(cold, tmp_path) == serial_bytes
     # Second run over the now-populated cache: every block is a hit,
     # and hits must not leak into the artifact either.
     warm, _ = run_explore(
         seed=SEED, population=POPULATION, workers=4, cache_dir=cache, **inputs
     )
-    assert explore_report_bytes(warm) == serial_bytes
+    assert _artifact_bytes(warm, tmp_path) == serial_bytes

@@ -179,10 +179,8 @@ class TestCorpusIO:
     def test_journal_rides_along_and_replays(self, tmp_path):
         import json
 
-        from repro.explain import (
-            capture_case_journal,
-            validate_explain_report,
-        )
+        from repro.artifacts import validate
+        from repro.explain import EXPLAIN_SCHEMA, capture_case_journal
 
         case = generate_case(seed=5, iteration=2)
         result = CaseResult(Outcome.OK, reference={"out": 7})
@@ -191,7 +189,7 @@ class TestCorpusIO:
             case, result, tmp_path, stem="journaled", journal=journal
         )
         payload = json.loads(path.read_text())
-        validate_explain_report(payload["journal"])
+        validate(payload["journal"], EXPLAIN_SCHEMA)
         assert payload["journal"]["meta"]["origin"] == "fuzz"
         # The extra key is ignored by the loader: the case replays
         # exactly as an unjournaled reproducer would.
@@ -226,11 +224,12 @@ class TestCampaign:
         load_case(written[0])
         import json
 
-        from repro.explain import validate_explain_report
+        from repro.artifacts import validate
+        from repro.explain import EXPLAIN_SCHEMA
 
         payload = json.loads(written[0].read_text())
         assert "journal" in payload
-        validate_explain_report(payload["journal"])
+        validate(payload["journal"], EXPLAIN_SCHEMA)
 
     def test_time_budget_stops_early(self):
         stats = run_campaign(seed=2, iterations=500, time_budget=1.0)

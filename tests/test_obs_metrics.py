@@ -10,23 +10,22 @@ acceptance of their own output and for rejection of tampered payloads.
 
 from __future__ import annotations
 
+import json
 import pickle
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.artifacts import read_artifact, validate, write_artifact
 from repro.obs.export import (
     METRICS_SCHEMA,
     diff_metrics,
-    metrics_bytes,
     render_metrics_diff,
     render_metrics_table,
     snapshot_export,
     snapshot_from_export,
     to_prometheus,
-    validate_metrics_export,
-    write_metrics_export,
 )
 from repro.obs.metrics import (
     METRIC_CATALOG,
@@ -156,6 +155,11 @@ class TestHistograms:
             )
 
 
+def _canonical(payload):
+    """The bytes :func:`repro.artifacts.write_artifact` writes."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
 def _snapshot(counts, observations, gauge=None):
     registry = MetricsRegistry()
     for name, n in counts:
@@ -203,8 +207,8 @@ class TestMergeProperties:
     @settings(max_examples=30, deadline=None)
     @given(a=SNAPSHOTS, b=SNAPSHOTS)
     def test_merged_export_is_grouping_independent(self, a, b):
-        one = metrics_bytes(snapshot_export(MetricsSnapshot.merge([a, b])))
-        two = metrics_bytes(snapshot_export(b.merged_with(a)))
+        one = _canonical(snapshot_export(MetricsSnapshot.merge([a, b])))
+        two = _canonical(snapshot_export(b.merged_with(a)))
         assert one == two
 
     def test_merge_semantics(self):
@@ -222,7 +226,7 @@ class TestMergeProperties:
 class TestExport:
     def test_export_fills_catalog_and_validates(self):
         payload = snapshot_export(_snapshot([("obs.requests_total", 1)], [7]))
-        validate_metrics_export(payload)
+        validate(payload, METRICS_SCHEMA)
         assert payload["schema"] == METRICS_SCHEMA
         assert payload["volatile_included"] is False
         deterministic = {
@@ -240,7 +244,7 @@ class TestExport:
         payload = snapshot_export(
             _snapshot([], [], gauge=2), include_volatile=True
         )
-        validate_metrics_export(payload)
+        validate(payload, METRICS_SCHEMA)
         assert "obs.request_wall_seconds" in payload["histograms"]
         assert payload["gauges"]["obs.workers"] == 2.0
 
@@ -248,14 +252,14 @@ class TestExport:
         snapshot = _snapshot([("obs.requests_total", 2)], [5, 9])
         payload = snapshot_export(snapshot)
         rebuilt = snapshot_from_export(payload)
-        assert metrics_bytes(snapshot_export(rebuilt)) == metrics_bytes(payload)
+        assert _canonical(snapshot_export(rebuilt)) == _canonical(payload)
 
     def test_write_and_read(self, tmp_path):
         path = tmp_path / "metrics.json"
-        payload = write_metrics_export(
-            str(path), _snapshot([("obs.requests_total", 1)], [])
-        )
-        assert path.read_bytes() == metrics_bytes(payload)
+        payload = snapshot_export(_snapshot([("obs.requests_total", 1)], []))
+        write_artifact(path, payload)
+        assert path.read_text() == _canonical(payload)
+        assert read_artifact(path, METRICS_SCHEMA) == payload
 
     @pytest.mark.parametrize(
         "tamper",
@@ -280,13 +284,13 @@ class TestExport:
         payload = snapshot_export(_snapshot([("obs.requests_total", 1)], [7]))
         tamper(payload)
         with pytest.raises(ValueError):
-            validate_metrics_export(payload)
+            validate(payload, METRICS_SCHEMA)
 
     def test_empty_histogram_with_minmax_rejected(self):
         payload = snapshot_export(_snapshot([], []))
         payload["histograms"]["obs.request_blocks"]["min"] = 1
         with pytest.raises(ValueError, match="min/max"):
-            validate_metrics_export(payload)
+            validate(payload, METRICS_SCHEMA)
 
 
 class TestPrometheus:

@@ -15,22 +15,23 @@ import json
 
 import pytest
 
+from repro.artifacts import read_artifact, validate, write_artifact
 from repro.isdl import example_architecture
 from repro.isdl.writer import machine_to_isdl
 from repro.obs.events import (
+    EVENTS_SCHEMA,
     EventLog,
     make_request_id,
     read_events,
     request_event,
     stream_event,
-    validate_event,
 )
-from repro.obs.export import metrics_bytes, snapshot_export
+from repro.obs.export import snapshot_export
 from repro.obs.metrics import MetricsSnapshot
 from repro.obs.recorder import (
+    FLIGHT_SCHEMA,
+    FLIGHT_SUMMARY_SCHEMA,
     FlightRecorder,
-    read_flight_artifact,
-    validate_flight_artifact,
 )
 from repro.serve import (
     CompileJob,
@@ -98,9 +99,9 @@ class TestEvents:
             {**request_event("req-000001-a", "error"), "error": None},
         ],
     )
-    def test_validate_event_rejections(self, record):
+    def test_event_rejections(self, record):
         with pytest.raises(ValueError):
-            validate_event(record)
+            validate(record, EVENTS_SCHEMA)
 
 
 class TestExecuteJobObs:
@@ -145,17 +146,21 @@ class TestBatchByteIdentity:
                 workers=workers,
             )
             merged = merge_result_snapshots(report["results"])
-            exports[workers] = metrics_bytes(snapshot_export(merged))
+            path = tmp_path / f"metrics{workers}.json"
+            write_artifact(path, snapshot_export(merged))
+            exports[workers] = path.read_bytes()
         assert exports[1] == exports[4]
 
-    def test_serial_matches_pool(self):
+    def test_serial_matches_pool(self, tmp_path):
         serial = merge_result_snapshots(run_batch(JOBS)["results"])
         pooled = merge_result_snapshots(
             run_batch(JOBS, workers=2)["results"]
         )
-        assert metrics_bytes(snapshot_export(serial)) == metrics_bytes(
-            snapshot_export(pooled)
-        )
+        write_artifact(tmp_path / "serial.json", snapshot_export(serial))
+        write_artifact(tmp_path / "pooled.json", snapshot_export(pooled))
+        assert (tmp_path / "serial.json").read_bytes() == (
+            tmp_path / "pooled.json"
+        ).read_bytes()
 
     def test_report_embeds_fleet_obs(self):
         report = run_batch(JOBS[:2], workers=0)
@@ -236,29 +241,29 @@ class TestServeStreamObs:
         artifacts = sorted(flight_dir.glob("flight-req-*.json"))
         assert len(artifacts) == 3
         for path, line, result in zip(artifacts, _stream_lines(), lines):
-            artifact = read_flight_artifact(path)
+            artifact = read_artifact(path, FLIGHT_SCHEMA)
             assert artifact["request"] == line
             assert artifact["result"]["status"] == result["status"]
         # the ok requests are complete incident packages
-        ok = read_flight_artifact(artifacts[0])
+        ok = read_artifact(artifacts[0], FLIGHT_SCHEMA)
         assert ok["reason"] == "slow"
         assert ok["trace"]["traceEvents"]
         assert ok["journal"]
         assert ok["telemetry"]["phases"]
         assert ok["metrics"]["counters"]["obs.requests_ok"] == 1
         # the garbage line failed outright -> reason "failed", no compile
-        bad = read_flight_artifact(artifacts[1])
+        bad = read_artifact(artifacts[1], FLIGHT_SCHEMA)
         assert bad["reason"] == "failed"
         assert bad["result"]["error"].startswith("bad request")
 
-        summary = json.loads(
-            (flight_dir / "flight-summary.json").read_text()
+        summary = read_artifact(
+            flight_dir / "flight-summary.json", FLIGHT_SUMMARY_SCHEMA
         )
         assert summary["schema"] == "repro/flight-summary/v1"
         assert summary["dumps"] == 3
         assert len(summary["last"]) == 3
         assert {s["request_id"] for s in summary["slowest"]} == {
-            a["request_id"] for a in map(read_flight_artifact, artifacts)
+            read_artifact(a, FLIGHT_SCHEMA)["request_id"] for a in artifacts
         }
 
     def test_no_threshold_only_failures_dump(self, tmp_path):
@@ -266,7 +271,8 @@ class TestServeStreamObs:
         serve_stream(_stream_lines(), io.StringIO(), flight_dir=str(flight_dir))
         artifacts = sorted(flight_dir.glob("flight-req-*.json"))
         assert len(artifacts) == 1
-        assert read_flight_artifact(artifacts[0])["reason"] == "failed"
+        artifact = read_artifact(artifacts[0], FLIGHT_SCHEMA)
+        assert artifact["reason"] == "failed"
 
 
 class TestFlightRecorderUnit:
@@ -298,7 +304,7 @@ class TestFlightRecorderUnit:
         name = recorder.observe(
             "req-000001-aa", "{}", self.RESULT_BAD, wall_s=0.1
         )
-        artifact = read_flight_artifact(tmp_path / name)
+        artifact = read_artifact(tmp_path / name, FLIGHT_SCHEMA)
         assert artifact["reason"] == "failed"
         assert artifact["telemetry"] is None
 
@@ -307,7 +313,7 @@ class TestFlightRecorderUnit:
         name = recorder.observe(
             "req-000001-aa", "{}", self.RESULT_OK, wall_s=0.5
         )
-        artifact = read_flight_artifact(tmp_path / name)
+        artifact = read_artifact(tmp_path / name, FLIGHT_SCHEMA)
         artifact["reason"] = "vibes"
         with pytest.raises(ValueError, match="reason"):
-            validate_flight_artifact(artifact)
+            validate(artifact, FLIGHT_SCHEMA)

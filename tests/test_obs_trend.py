@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.artifacts import read_artifact, validate, write_artifact
 from repro.cli import main
 from repro.obs.trend import (
     DEFAULT_BASELINE,
@@ -23,62 +24,139 @@ from repro.obs.trend import (
     collect_current_metrics,
     compare,
     format_trend_table,
-    load_baseline,
     make_baseline,
-    validate_baseline,
-    write_baseline,
 )
+from repro.optimal.bench import SOLVER_STAT_KEYS
+from repro.telemetry.bench import CORE_COUNTERS, COVER_COUNTERS
 
 REPO = Path(__file__).parent.parent
 
+def _optimal_entries():
+    """20 proven blocks: 12 improved by the solver, 18 gap cycles."""
+    entries = []
+    for index in range(20):
+        gap = 2 if index < 6 else 1 if index < 12 else 0
+        entries.append({
+            "workload": f"Ex{index}", "machine": "arch1_r4", "registers": 4,
+            "heuristic_cost": 10 + gap, "optimal_cost": 10, "gap": gap,
+            "proven": True, "spill_free": True, "heuristic_spills": 0,
+            "cpu_seconds": 0.1,
+            "solver": {
+                **dict.fromkeys(SOLVER_STAT_KEYS, 1),
+                "budget_exhausted": False,
+            },
+        })
+    return entries
+
+
+def _explore_candidates():
+    """12 candidates: 5 on the frontier, 7 with one failed workload."""
+    candidates = []
+    for index in range(12):
+        failed = index >= 5
+        candidates.append({
+            "name": f"m{index}", "area": index, "failures": int(failed),
+            "workloads_ok": int(not failed), "frontier": not failed,
+            "metrics": {
+                "instructions": 0 if failed else 20 - index, "spills": 0,
+                "cycles": 0 if failed else 20 - index, "gap": 0,
+            },
+            "workloads": [
+                {"workload": "w", "status": "coverage_error",
+                 "error": "no unit", "metrics": None}
+                if failed else
+                {"workload": "w", "status": "ok", "error": None,
+                 "metrics": {"instructions": 20 - index}}
+            ],
+        })
+    return candidates
+
+
 BENCHES = {
     "BENCH_codegen.json": {
+        "schema": "repro/bench-codegen/v1",
         "entries": [
             {
                 "workload": "fir4",
                 "machine": "arch1_r4",
                 "metrics": {"instructions": 20, "spills": 2},
+                "report": {
+                    "phases": [
+                        {"path": "compile", "calls": 1, "wall_s": 0.1,
+                         "cpu_s": 0.1},
+                    ],
+                    "counters": dict.fromkeys(CORE_COUNTERS, 1),
+                },
             }
-        ]
+        ],
     },
     "BENCH_cover.json": {
+        "schema": "repro/bench-cover/v1",
         "entries": [
             {
                 "workload": "sop8",
                 "machine": "arch1_r4",
                 "metrics": {"instructions": 30},
                 "wall_s": 0.5,
+                "heavy": True,
+                "config": {},
+                "counters": dict.fromkeys(COVER_COUNTERS, 1),
             }
-        ]
+        ],
     },
     "BENCH_serve.json": {
+        "schema": "repro/bench-serve/v1",
         "entries": [
             {
                 "mix": "zipf",
                 "warm_hit_rate": 0.9,
                 "identical": True,
                 "speedup": 3.0,
+                "jobs": 8, "unique_jobs": 4, "workers": 0,
+                "cold_s": 3.0, "warm_s": 1.0, "cold_hit_rate": 0.5,
+                "cold_jobs_per_second": 2.7, "warm_jobs_per_second": 8.0,
+                "cache": {"hits": 9},
             }
-        ]
+        ],
     },
     "BENCH_sndag.json": {
+        "schema": "repro/bench-sndag/v1",
         "entries": [
             {
                 "workload": "fir4",
                 "machine": "fig6",
                 "lazy_transfer_nodes": 10,
                 "lazy_build_s": 0.01,
+                "eager_transfer_nodes": 19, "avoided_transfer_nodes": 9,
+                "paths_folded": 0, "eager_total_nodes": 40,
+                "lazy_total_nodes": 31, "metrics": {},
             }
-        ]
+        ],
     },
     "BENCH_optimal.json": {
+        "schema": "repro/bench-optimal/v1",
         "summary": {
-            "proven": 20, "budget_exhausted": 0, "gap_cycles": 18,
-            "improved": 12,
-        }
+            "blocks": 20, "proven": 20, "budget_exhausted": 0,
+            "gap_cycles": 18, "improved": 12,
+        },
+        "entries": _optimal_entries(),
     },
     "BENCH_explore.json": {
-        "totals": {"frontier": 5, "candidates": 12, "workload_failures": 7}
+        "schema": "repro/bench-explore/v1",
+        "meta": {
+            "seed": 0, "population": 12, "budget": 0,
+            "axes": ["area", "instructions", "gap"], "workloads": ["w"],
+        },
+        "candidates": _explore_candidates(),
+        "frontier": [
+            {"name": f"m{index}", "area": index,
+             "instructions": 20 - index, "gap": 0, "isdl": "machine m"}
+            for index in range(5)
+        ],
+        "totals": {
+            "frontier": 5, "candidates": 12, "workload_failures": 7,
+            "workloads_ok": 5,
+        },
     },
 }
 
@@ -123,8 +201,8 @@ class TestBaseline:
         baseline = make_baseline(collect_current_metrics(bench_root))
         assert baseline["schema"] == TREND_BASELINE_SCHEMA
         path = tmp_path / "baseline.json"
-        write_baseline(path, baseline)
-        assert load_baseline(path) == baseline
+        write_artifact(path, baseline)
+        assert read_artifact(path, TREND_BASELINE_SCHEMA) == baseline
 
     @pytest.mark.parametrize(
         "tamper",
@@ -147,7 +225,7 @@ class TestBaseline:
         baseline = make_baseline(collect_current_metrics(bench_root))
         tamper(baseline)
         with pytest.raises(ValueError):
-            validate_baseline(baseline)
+            validate(baseline, TREND_BASELINE_SCHEMA)
 
 
 class TestCompare:
@@ -229,7 +307,7 @@ class TestCompare:
 
 
 class TestTrendCli:
-    def test_write_baseline_then_gate(self, bench_root, capsys):
+    def test_freeze_baseline_then_gate(self, bench_root, capsys):
         assert main(["trend", "--root", str(bench_root)
                      , "--write-baseline"]) == 0
         baseline_path = bench_root / DEFAULT_BASELINE
@@ -257,6 +335,20 @@ class TestTrendCli:
         report = json.loads(report_path.read_text())
         assert report["schema"] == TREND_SCHEMA and report["ok"]
 
+    def test_malformed_ledger_is_a_one_line_error(self, bench_root, capsys):
+        assert main(["trend", "--root", str(bench_root),
+                     "--write-baseline"]) == 0
+        capsys.readouterr()
+        path = bench_root / "BENCH_cover.json"
+        payload = json.loads(path.read_text())
+        del payload["entries"][0]["metrics"]
+        path.write_text(json.dumps(payload))
+        assert main(["trend", "--root", str(bench_root)]) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            f"error: {path}: $.entries[0]: missing key 'metrics'\n"
+        )
+
     def test_missing_baseline_is_actionable(self, bench_root, capsys):
         assert main(["trend", "--root", str(bench_root)]) == 2
         assert "--write-baseline" in capsys.readouterr().err
@@ -276,14 +368,14 @@ class TestTrendCli:
 
 class TestMetricsCli:
     def _export(self, tmp_path, name="m.json"):
-        from repro.obs.export import write_metrics_export
+        from repro.obs.export import snapshot_export
         from repro.obs.metrics import MetricsRegistry
 
         registry = MetricsRegistry()
         registry.count("obs.requests_total", 2)
         registry.observe("obs.request_instructions", 11)
         path = tmp_path / name
-        write_metrics_export(str(path), registry.snapshot())
+        write_artifact(path, snapshot_export(registry.snapshot()))
         return path
 
     def test_render_and_prom(self, tmp_path, capsys):

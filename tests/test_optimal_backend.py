@@ -12,11 +12,12 @@ from repro.errors import CoverageError
 from repro.frontend import compile_source
 from repro.isdl import example_architecture
 from repro.isdl.builtin_machines import BUILTIN_MACHINES
+from repro.artifacts import validate
 from repro.optimal import (
+    OPTIMAL_BENCH_SCHEMA,
     OptimalSolveResult,
-    make_optimal_report,
     optimal_block_solution,
-    validate_optimal_report,
+    summarize_optimal_bench,
 )
 from repro.regalloc import allocate_registers
 from repro.verify import verify_block
@@ -278,43 +279,51 @@ class TestBenchSchema:
         entry.update(overrides)
         return entry
 
+    def _report(self, entries):
+        return {
+            "schema": OPTIMAL_BENCH_SCHEMA,
+            "summary": summarize_optimal_bench(entries),
+            "entries": entries,
+        }
+
     def test_valid_report_passes(self):
-        validate_optimal_report(make_optimal_report([self._entry()]))
+        validate(self._report([self._entry()]), OPTIMAL_BENCH_SCHEMA)
 
     def test_schema_tag_required(self):
-        report = make_optimal_report([self._entry()])
+        report = self._report([self._entry()])
         report["schema"] = "repro/bench-optimal/v0"
         with pytest.raises(ValueError):
-            validate_optimal_report(report)
+            validate(report, OPTIMAL_BENCH_SCHEMA)
 
     def test_gap_arithmetic_checked(self):
-        report = make_optimal_report([self._entry(gap=2)])
+        report = self._report([self._entry(gap=2)])
         with pytest.raises(ValueError):
-            validate_optimal_report(report)
+            validate(report, OPTIMAL_BENCH_SCHEMA)
 
     def test_negative_gap_rejected(self):
-        report = make_optimal_report(
+        report = self._report(
             [self._entry(optimal_cost=9, gap=-2)]
         )
         with pytest.raises(ValueError):
-            validate_optimal_report(report)
+            validate(report, OPTIMAL_BENCH_SCHEMA)
 
     def test_proven_with_exhausted_budget_is_contradiction(self):
         entry = self._entry()
         entry["solver"]["budget_exhausted"] = True
-        report = make_optimal_report([entry])
+        report = self._report([entry])
         with pytest.raises(ValueError):
-            validate_optimal_report(report)
+            validate(report, OPTIMAL_BENCH_SCHEMA)
 
     def test_summary_mismatch_rejected(self):
-        report = make_optimal_report([self._entry()])
+        report = self._report([self._entry()])
         report["summary"]["proven"] = 0
         with pytest.raises(ValueError):
-            validate_optimal_report(report)
+            validate(report, OPTIMAL_BENCH_SCHEMA)
 
     def test_empty_entries_rejected(self):
         with pytest.raises(ValueError):
-            validate_optimal_report(
+            validate(
                 {"schema": "repro/bench-optimal/v1", "entries": [],
-                 "summary": {}}
+                 "summary": {}},
+                OPTIMAL_BENCH_SCHEMA,
             )

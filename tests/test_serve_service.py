@@ -14,6 +14,7 @@ import json
 
 import pytest
 
+from repro.artifacts import validate
 from repro.cli import main
 from repro.isdl import control_flow_architecture, example_architecture
 from repro.isdl.writer import machine_to_isdl
@@ -23,7 +24,6 @@ from repro.serve import (
     make_batch_report,
     run_batch,
     serve_stream,
-    validate_batch_report,
     zipfian_mix,
 )
 
@@ -109,7 +109,7 @@ class TestRunBatch:
         report = run_batch(
             [GOOD, UNCOVERABLE, BROKEN], cache_dir=str(tmp_path)
         )
-        validate_batch_report(report)
+        validate(report)
         totals = report["totals"]
         assert totals["jobs"] == 3
         assert totals["ok"] == 1
@@ -125,7 +125,7 @@ class TestRunBatch:
 
     def test_validator_rejects_tampered_reports(self):
         report = run_batch([GOOD])
-        validate_batch_report(report)
+        validate(report)
         for mutate in (
             lambda r: r.update(schema="repro/serve/v999"),
             lambda r: r["totals"].update(jobs=7),
@@ -135,11 +135,11 @@ class TestRunBatch:
             broken = json.loads(json.dumps(report))
             mutate(broken)
             with pytest.raises(ValueError):
-                validate_batch_report(broken)
+                validate(broken)
 
     def test_empty_batch(self):
         report = make_batch_report([])
-        validate_batch_report(report)
+        validate(report)
         assert report["totals"]["cache_hit_rate"] == 0.0
 
 
@@ -212,7 +212,7 @@ class TestCLI:
         )
         assert code == 0
         report = json.loads(report_path.read_text())
-        validate_batch_report(report)
+        validate(report)
         assert report["totals"]["ok"] == 2
         err = capsys.readouterr().err
         assert "2 job(s)" in err

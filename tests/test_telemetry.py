@@ -21,12 +21,11 @@ from repro.telemetry import (
     use_session,
     validate_trace,
 )
+from repro.artifacts import validate
 from repro.telemetry.bench import (
     BENCH_SCHEMA,
     bench_entry,
     collect_codegen_bench,
-    make_bench_report,
-    validate_bench_report,
 )
 
 SOURCE = "y = (a + b) * (a - c);\nz = y + 1;\n"
@@ -299,8 +298,8 @@ class TestBenchReport:
     def test_collect_and_validate_one_workload(self):
         entries = collect_codegen_bench(["Ex1"])
         assert len(entries) == 1
-        payload = make_bench_report(entries)
-        validate_bench_report(payload)  # must not raise
+        payload = {"schema": BENCH_SCHEMA, "entries": entries}
+        validate(payload, BENCH_SCHEMA)  # must not raise
         assert payload["schema"] == BENCH_SCHEMA
         entry = entries[0]
         assert entry["workload"] == "Ex1"
@@ -308,17 +307,17 @@ class TestBenchReport:
 
     def test_validate_rejects_wrong_schema(self):
         with pytest.raises(ValueError):
-            validate_bench_report({"schema": "nope", "entries": [{}]})
+            validate({"schema": "nope", "entries": [{}]}, BENCH_SCHEMA)
 
     def test_validate_rejects_missing_core_counter(self):
         entries = collect_codegen_bench(["Ex1"])
         del entries[0]["report"]["counters"]["cover.iterations"]
         with pytest.raises(ValueError):
-            validate_bench_report(make_bench_report(entries))
+            validate({"schema": BENCH_SCHEMA, "entries": entries})
 
     def test_validate_rejects_empty_entries(self):
         with pytest.raises(ValueError):
-            validate_bench_report(make_bench_report([]))
+            validate({"schema": BENCH_SCHEMA, "entries": []})
 
     def test_bench_entry_shape(self):
         entry = bench_entry(
