@@ -19,13 +19,6 @@ import pytest
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
-#: Repo checkout root.  The two ``BENCH_*.json`` reports are written
-#: here as well as into ``results/``: the root copies are committed /
-#: uploaded as CI artifacts, so the performance trajectory is diffable
-#: from the repository itself while ``benchmarks/results/`` stays
-#: ignored scratch space.
-REPO_ROOT = pathlib.Path(__file__).parent.parent
-
 
 def full_mode() -> bool:
     return os.environ.get("REPRO_FULL", "") == "1"

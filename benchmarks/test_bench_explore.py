@@ -1,10 +1,9 @@
-"""Architecture-exploration frontier — ``BENCH_explore.json``.
+"""Architecture-exploration frontier — ``results/BENCH_explore.json``.
 
 Runs a smoke-sized exploration (the seeded population the
 ``explore-smoke`` CI job also uses; ``REPRO_FULL=1`` scales up to the
 acceptance-criteria population of 50) and writes the
-``repro/bench-explore/v1`` artifact to ``benchmarks/results/`` plus the
-repo-root copy that CI uploads and the repository commits.
+``repro/bench-explore/v1`` artifact to ``benchmarks/results/``.
 
 Gate: the artifact is schema-valid, the frontier is non-trivial
 (several mutually non-dominated machines), and regenerating the payload
@@ -18,7 +17,7 @@ from __future__ import annotations
 from repro.artifacts import read_artifact, write_artifact
 from repro.explore import EXPLORE_SCHEMA, format_explore_table, run_explore
 
-from conftest import REPO_ROOT, full_mode, write_result
+from conftest import full_mode, write_result
 
 SEED = 0
 
@@ -38,7 +37,6 @@ def test_bench_explore(benchmark, results_dir, tmp_path):
     )
     path = results_dir / "BENCH_explore.json"
     write_artifact(path, payload)
-    write_artifact(REPO_ROOT / "BENCH_explore.json", payload)
     # Round-trips, schema-valid.
     assert read_artifact(path, EXPLORE_SCHEMA) == payload
     totals = payload["totals"]

@@ -1,12 +1,12 @@
 """One checker for every ``repro/*/v1`` JSON artifact.
 
-Every versioned JSON document the repo writes — the ``BENCH_*.json``
-ledgers, the service reports and exports, the observability artifacts —
-is declared once in :data:`SCHEMAS`: its **shape**, built from the spec
-forms below, and a **rules** function for the cross-field invariants a
-shape cannot state (``gap == heuristic - optimal``, frontier
-non-dominance, recomputed quantiles, ...).  Three functions serve every
-caller:
+Every versioned JSON document the repo writes — the ``repro gap`` and
+``repro explore`` reports, the service reports and exports, the
+observability artifacts — is declared once in :data:`SCHEMAS`: its
+**shape**, built from the spec forms below, and a **rules** function
+for the cross-field invariants a shape cannot state (``gap ==
+heuristic - optimal``, frontier non-dominance, recomputed quantiles,
+...).  Three functions serve every caller:
 
 - :func:`validate` dispatches on ``payload["schema"]``;
 - :func:`write_artifact` validates, then writes canonical JSON
@@ -15,7 +15,7 @@ caller:
 - :func:`read_artifact` loads and validates one file.
 
 Malformed input is always a :class:`ValueError` naming the JSON path of
-the first offending value (``$.entries[0].wall_s: expected a
+the first offending value (``$.entries[0].cpu_seconds: expected a
 non-negative number, got -1``): the walker checks a value's type before
 it descends into it, so no input can crash the check itself.
 
@@ -41,21 +41,12 @@ from repro.obs.events import EVENT_KINDS, EVENTS_SCHEMA
 from repro.obs.export import METRICS_SCHEMA, QUANTILES
 from repro.obs.metrics import METRIC_CATALOG, histogram_quantile
 from repro.obs.recorder import FLIGHT_SCHEMA, FLIGHT_SUMMARY_SCHEMA
-from repro.obs.trend import TREND_BASELINE_SCHEMA, TREND_SCHEMA
 from repro.optimal.bench import (
     OPTIMAL_BENCH_SCHEMA,
     SOLVER_STAT_KEYS,
     summarize_optimal_bench,
 )
-from repro.serve.bench import SERVE_BENCH_SCHEMA
 from repro.serve.service import CACHE_COUNTERS, JOB_STATUSES, SERVE_SCHEMA
-from repro.telemetry.bench import (
-    BENCH_SCHEMA,
-    CORE_COUNTERS,
-    COVER_BENCH_SCHEMA,
-    COVER_COUNTERS,
-    SNDAG_BENCH_SCHEMA,
-)
 
 # -- spec forms ---------------------------------------------------------
 
@@ -229,7 +220,6 @@ FRACTION = Leaf("num", lo=0, hi=1)
 BOOL = Leaf("bool")
 OBJECT = MapOf(ANY)
 REQUEST_ID = Leaf("str", prefix="req-")
-DIRECTION = OneOf(("min", "max"), "direction")
 DECISION_KIND = OneOf(tuple(sorted(DECISION_KINDS)), "decision kind")
 
 
@@ -238,52 +228,9 @@ def _envelope(schema: str, required: Mapping[str, Any], **extra: Any) -> Obj:
     return Obj({"schema": OneOf((schema,), "schema"), **required}, **extra)
 
 
-def _ledger(schema: str, entry: Mapping[str, Any], **required: Any) -> Obj:
-    """A BENCH ledger: a non-empty ``entries`` list of ``entry``."""
-    entries = Obj({"workload": NAME, "machine": NAME, **entry})
-    return _envelope(
-        schema, {"entries": ListOf(entries, nonempty=True), **required}
-    )
-
-
-CODEGEN = _ledger(BENCH_SCHEMA, {
-    "metrics": Obj(dict.fromkeys(("instructions", "spills"), COUNT)),
-    "report": Obj({
-        "phases": ListOf(Obj({
-            "path": TEXT, "calls": COUNT, "wall_s": MEASURE,
-            "cpu_s": MEASURE,
-        }), nonempty=True),
-        "counters": MapOf(INT),
-    }),
-})
-
-COVER = _ledger(COVER_BENCH_SCHEMA, {
-    "wall_s": MEASURE, "heavy": BOOL, "config": OBJECT,
-    "metrics": Obj({"instructions": COUNT}), "counters": MapOf(INT),
-})
-
-SNDAG = _ledger(SNDAG_BENCH_SCHEMA, {
-    "lazy_build_s": MEASURE, "metrics": OBJECT,
-    **dict.fromkeys((
-        "eager_transfer_nodes", "lazy_transfer_nodes",
-        "avoided_transfer_nodes", "paths_folded", "eager_total_nodes",
-        "lazy_total_nodes",
-    ), COUNT),
-})
-
-SERVE_BENCH = _envelope(SERVE_BENCH_SCHEMA, {"entries": ListOf(Obj({
-    "mix": NAME, "identical": BOOL, "cache": MapOf(INT),
-    **dict.fromkeys(("jobs", "unique_jobs", "workers"), COUNT),
-    **dict.fromkeys((
-        "cold_s", "warm_s", "speedup", "cold_jobs_per_second",
-        "warm_jobs_per_second",
-    ), MEASURE),
-    **dict.fromkeys(("cold_hit_rate", "warm_hit_rate"), FRACTION),
-}), nonempty=True)})
-
-OPTIMAL = _ledger(
-    OPTIMAL_BENCH_SCHEMA,
-    {
+OPTIMAL = _envelope(OPTIMAL_BENCH_SCHEMA, {
+    "entries": ListOf(Obj({
+        "workload": NAME, "machine": NAME,
         **dict.fromkeys((
             "registers", "heuristic_cost", "optimal_cost", "gap",
             "heuristic_spills",
@@ -292,11 +239,11 @@ OPTIMAL = _ledger(
         "solver": Obj({
             **dict.fromkeys(SOLVER_STAT_KEYS, INT), "budget_exhausted": BOOL,
         }),
-    },
-    summary=Obj(dict.fromkeys((
+    }), nonempty=True),
+    "summary": Obj(dict.fromkeys((
         "blocks", "proven", "improved", "gap_cycles", "budget_exhausted",
     ), INT)),
-)
+})
 
 EXPLORE = _envelope(EXPLORE_SCHEMA, {
     "meta": Obj({
@@ -397,24 +344,6 @@ FLIGHT_SUMMARY = _envelope(FLIGHT_SUMMARY_SCHEMA, {
     "last": _RING, "slowest": _RING,
 })
 
-TREND_BASELINE = _envelope(TREND_BASELINE_SCHEMA, {
-    "metrics": MapOf(Obj({
-        "value": NUMBER, "direction": DIRECTION, "tolerance": MEASURE,
-        "gate": BOOL,
-    }), nonempty=True),
-})
-
-TREND = _envelope(TREND_SCHEMA, {
-    "ok": BOOL,
-    "rows": ListOf(Obj({
-        "metric": NAME, "direction": DIRECTION, "tolerance": MEASURE,
-        "gate": BOOL, "baseline": NUMBER, "current": Nullable(NUMBER),
-        "delta": Nullable(NUMBER),
-        "status": OneOf(("ok", "regression", "missing", "info"), "status"),
-    })),
-    **dict.fromkeys(("regressions", "missing", "new_metrics"), ListOf(NAME)),
-})
-
 #: What a record adds once its status says it succeeded or failed.
 _OK_RESULT = Obj({
     "assembly": TEXT, "metrics": Obj({"instructions": COUNT}),
@@ -437,39 +366,6 @@ _REQUEST_EVENT = Obj(
 )
 
 # -- cross-field rules (the shape already holds) -------------------------
-
-
-def _need_counters(counters: Dict[str, Any], names, position: int) -> None:
-    for name in names:
-        if name not in counters:
-            _fail(f"$.entries[{position}]", f"core counter {name!r} missing")
-
-
-def _codegen_rules(payload: Dict[str, Any]) -> None:
-    for position, entry in enumerate(payload["entries"]):
-        _need_counters(entry["report"]["counters"], CORE_COUNTERS, position)
-
-
-def _cover_rules(payload: Dict[str, Any]) -> None:
-    for position, entry in enumerate(payload["entries"]):
-        _need_counters(entry["counters"], COVER_COUNTERS, position)
-    if not any(entry["heavy"] for entry in payload["entries"]):
-        _fail("$.entries", "needs at least one heavy (clique-bound) workload")
-
-
-def _sndag_rules(payload: Dict[str, Any]) -> None:
-    if not any(e["avoided_transfer_nodes"] for e in payload["entries"]):
-        _fail("$.entries", "no avoided transfer nodes anywhere — lazy "
-              "materialisation is not doing its job")
-
-
-def _serve_bench_rules(payload: Dict[str, Any]) -> None:
-    for position, entry in enumerate(payload["entries"]):
-        if entry["unique_jobs"] > entry["jobs"]:
-            _fail(f"$.entries[{position}]", "more unique jobs than jobs")
-        if not entry["identical"]:
-            _fail(f"$.entries[{position}]", "cold and warm outputs differed "
-                  "— a cache hit must be bit-identical to a cold compile")
 
 
 def _optimal_rules(payload: Dict[str, Any]) -> None:
@@ -609,32 +505,10 @@ def _flight_rules(payload: Dict[str, Any]) -> None:
         _fail("$.threshold_s", "a 'slow' dump must record its threshold")
 
 
-def _trend_rules(payload: Dict[str, Any]) -> None:
-    rows = payload["rows"]
-    missing = [
-        r["metric"] for r in rows if r["status"] == "missing" and r["gate"]
-    ]
-    regressed = [
-        r["metric"]
-        for r in rows
-        if r["status"] == "regression" or r["metric"] in missing
-    ]
-    if payload["missing"] != missing:
-        _fail("$.missing", "disagrees with the gated rows marked missing")
-    if payload["regressions"] != regressed:
-        _fail("$.regressions", "disagrees with the rows that regressed")
-    if payload["ok"] != (not regressed):
-        _fail("$.ok", "must be true exactly when nothing regressed")
-
-
 Rules = Optional[Callable[[Dict[str, Any]], None]]
 
 #: Every in-scope stamp: its shape and its cross-field rules.
 SCHEMAS: Dict[str, Tuple[Spec, Rules]] = {
-    BENCH_SCHEMA: (CODEGEN, _codegen_rules),
-    COVER_BENCH_SCHEMA: (COVER, _cover_rules),
-    SNDAG_BENCH_SCHEMA: (SNDAG, _sndag_rules),
-    SERVE_BENCH_SCHEMA: (SERVE_BENCH, _serve_bench_rules),
     OPTIMAL_BENCH_SCHEMA: (OPTIMAL, _optimal_rules),
     EXPLORE_SCHEMA: (EXPLORE, _explore_rules),
     SERVE_SCHEMA: (BATCH, _batch_rules),
@@ -643,8 +517,6 @@ SCHEMAS: Dict[str, Tuple[Spec, Rules]] = {
     EVENTS_SCHEMA: (EVENT, _event_rules),
     FLIGHT_SCHEMA: (FLIGHT, _flight_rules),
     FLIGHT_SUMMARY_SCHEMA: (FLIGHT_SUMMARY, None),
-    TREND_BASELINE_SCHEMA: (TREND_BASELINE, None),
-    TREND_SCHEMA: (TREND, _trend_rules),
 }
 
 # -- the three entry points ---------------------------------------------

@@ -88,14 +88,6 @@ Commands
     human-readable table, ``--prom`` Prometheus text exposition,
     ``--json`` the validated payload back out, or ``--diff`` per-metric
     deltas against a second export (exit 1 when they differ).
-``trend [--root DIR] [--baseline FILE] [--json FILE] [--verbose]
-[--write-baseline]``
-    The bench-trend regression gate: flatten the repo-root
-    ``BENCH_*.json`` artifacts into named quality metrics and compare
-    them against the committed baseline manifest
-    (``benchmarks/trend_baseline.json``), exiting 1 when any gated
-    metric moved in the losing direction beyond its tolerance.
-    ``--write-baseline`` (re)freezes the manifest from current values.
 ``explore [--seed N] [--population N] [--workers N] [--budget N]
 [--machines-dir DIR] [--corpus DIR] [--cache-dir DIR] [--json FILE]
 [--metrics-out FILE]``
@@ -401,23 +393,6 @@ def _cmd_profile(args) -> int:
         spills=compiled.total_spills,
     )
     _emit_profile(session, args, as_json=args.json, stream=sys.stdout)
-    if args.bench_out:
-        from repro.artifacts import write_artifact
-        from repro.telemetry.bench import BENCH_SCHEMA, bench_entry
-
-        entry = bench_entry(
-            args.source,
-            machine.name,
-            session.report().to_dict(),
-            metrics={
-                "instructions": compiled.total_instructions,
-                "spills": compiled.total_spills,
-            },
-        )
-        write_artifact(
-            args.bench_out, {"schema": BENCH_SCHEMA, "entries": [entry]}
-        )
-        print(f"; wrote bench {args.bench_out}", file=sys.stderr)
     return 0
 
 
@@ -953,53 +928,6 @@ def _cmd_metrics(args) -> int:
     return 0
 
 
-def _cmd_trend(args) -> int:
-    import os
-
-    from repro.artifacts import read_artifact, write_artifact
-    from repro.obs.trend import (
-        DEFAULT_BASELINE,
-        TREND_BASELINE_SCHEMA,
-        collect_current_metrics,
-        compare,
-        format_trend_table,
-        make_baseline,
-    )
-
-    baseline_path = args.baseline or os.path.join(args.root, DEFAULT_BASELINE)
-    try:
-        current = collect_current_metrics(args.root)
-    except ValueError as error:
-        raise ReproError(str(error)) from error
-    if args.freeze_baseline:
-        if not current:
-            raise ReproError(
-                f"no BENCH_*.json artifacts under {args.root!r} — nothing "
-                f"to freeze into a baseline"
-            )
-        write_artifact(baseline_path, make_baseline(current))
-        print(
-            f"; wrote baseline {baseline_path} ({len(current)} metric(s))",
-            file=sys.stderr,
-        )
-        return 0
-    try:
-        baseline = read_artifact(baseline_path, TREND_BASELINE_SCHEMA)
-    except OSError as error:
-        raise ReproError(
-            f"cannot read baseline {baseline_path}: {error} "
-            f"(create one with 'repro trend --write-baseline')"
-        ) from error
-    except ValueError as error:
-        raise ReproError(str(error)) from error
-    report = compare(baseline, current)
-    print(format_trend_table(report, verbose=args.verbose))
-    if args.json:
-        write_artifact(args.json, report)
-        print(f"; wrote {args.json}", file=sys.stderr)
-    return 0 if report["ok"] else 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argparse CLI (exposed for testing)."""
     parser = argparse.ArgumentParser(
@@ -1099,11 +1027,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--trace-out",
         metavar="FILE",
         help="write a Chrome trace-event JSON file",
-    )
-    profile_parser.add_argument(
-        "--bench-out",
-        metavar="FILE",
-        help="write a repro/bench-codegen/v1 JSON report",
     )
 
     disasm = commands.add_parser(
@@ -1340,42 +1263,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="compare against a second export; exit 1 when they differ",
     )
 
-    trend = commands.add_parser(
-        "trend",
-        help="bench-trend regression gate over the BENCH_*.json artifacts",
-    )
-    trend.add_argument(
-        "--root",
-        metavar="DIR",
-        default=".",
-        help="directory holding the BENCH_*.json artifacts (default: .)",
-    )
-    trend.add_argument(
-        "--baseline",
-        metavar="FILE",
-        default=None,
-        help="baseline manifest (default: ROOT/benchmarks/"
-        "trend_baseline.json)",
-    )
-    trend.add_argument(
-        "--json",
-        metavar="FILE",
-        default=None,
-        help="also write the repro/trend/v1 comparison report here",
-    )
-    trend.add_argument(
-        "--verbose",
-        "-v",
-        action="store_true",
-        help="list every metric, not just the interesting rows",
-    )
-    trend.add_argument(
-        "--write-baseline",
-        action="store_true",
-        dest="freeze_baseline",
-        help="(re)freeze the baseline manifest from current values",
-    )
-
     verify = commands.add_parser(
         "verify",
         help="certify compiled schedules with the independent validator",
@@ -1523,7 +1410,6 @@ _HANDLERS = {
     "serve": _cmd_serve,
     "explore": _cmd_explore,
     "metrics": _cmd_metrics,
-    "trend": _cmd_trend,
 }
 
 

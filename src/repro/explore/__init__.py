@@ -6,7 +6,7 @@ variants (:mod:`repro.explore.population`), evaluate each against a
 workload suite through the process pool and persistent block cache
 (:mod:`repro.explore.evaluate`), rank by the schedule-quality axes,
 and emit the deterministic Pareto-frontier artifact
-``BENCH_explore.json`` (:mod:`repro.explore.service`).  See
+(``repro/bench-explore/v1``, :mod:`repro.explore.service`).  See
 ``docs/exploration.md``.
 """
 

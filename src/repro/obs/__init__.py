@@ -4,9 +4,8 @@
 package answers "what is the *service* doing" — mergeable fleet-wide
 metric snapshots (:mod:`repro.obs.metrics`), structured JSON-lines
 request logs (:mod:`repro.obs.events`), Prometheus/JSON exporters
-(:mod:`repro.obs.export`), a bounded flight recorder for slow or
-failing requests (:mod:`repro.obs.recorder`), and a benchmark-trend
-regression gate (:mod:`repro.obs.trend`).
+(:mod:`repro.obs.export`), and a bounded flight recorder for slow or
+failing requests (:mod:`repro.obs.recorder`).
 
 Everything in this package is pure stdlib and deterministic by
 construction: metric merges are associative and commutative, request
@@ -46,24 +45,12 @@ from repro.obs.recorder import (
     FLIGHT_SUMMARY_SCHEMA,
     FlightRecorder,
 )
-from repro.obs.trend import (
-    DEFAULT_BASELINE,
-    TREND_BASELINE_SCHEMA,
-    TREND_SCHEMA,
-    collect_current_metrics,
-    compare,
-    format_trend_table,
-    make_baseline,
-)
 
 __all__ = [
     "EVENTS_SCHEMA",
     "METRICS_SCHEMA",
     "FLIGHT_SCHEMA",
     "FLIGHT_SUMMARY_SCHEMA",
-    "TREND_BASELINE_SCHEMA",
-    "TREND_SCHEMA",
-    "DEFAULT_BASELINE",
     "METRIC_CATALOG",
     "NULL_REGISTRY",
     "EventLog",
@@ -71,12 +58,8 @@ __all__ = [
     "HistogramState",
     "MetricsRegistry",
     "MetricsSnapshot",
-    "collect_current_metrics",
-    "compare",
     "current_registry",
     "diff_metrics",
-    "format_trend_table",
-    "make_baseline",
     "make_request_id",
     "read_events",
     "render_metrics_diff",

@@ -1,7 +1,6 @@
-"""Corpus-wide optimality-gap reports — ``BENCH_optimal.json``.
+"""Corpus-wide optimality-gap reports — ``repro gap --json``.
 
-``BENCH_cover.json`` tracks how *fast* the heuristic searches;
-``BENCH_optimal.json`` tracks how *good* its answers are: for every
+The report tracks how *good* the heuristic's answers are: for every
 (workload, machine) pair the heuristic engine's block length is
 compared against the constraint solver's provably minimal
 one, turning the paper's "the hand-coded results are all optimal"
@@ -29,9 +28,10 @@ Schema (``repro/bench-optimal/v1``)::
 Honesty: ``proven`` is per entry; a budget-exhausted solve keeps the
 heuristic cost as an upper bound and says so (``budget_exhausted`` in
 ``solver``), it never pretends the gap is closed.  Written by
-``benchmarks/test_bench_optimal.py`` and ``repro gap --json``; CI's
+``repro gap --json`` and ``benchmarks/test_bench_optimal.py``; CI's
 ``optimal-smoke`` job regenerates and schema-validates it on every
-push.
+push, and ``tests/test_optimal_backend.py`` pins the exact gaps of the
+4-register rows.
 """
 
 from __future__ import annotations
@@ -80,7 +80,8 @@ def collect_optimal_bench(
 ) -> List[Dict[str, Any]]:
     """Solve each gap-bench workload to proven optimality (or budget).
 
-    Returns the ``entries`` payload of ``BENCH_optimal.json``.
+    Returns the ``entries`` payload of the ``repro/bench-optimal/v1``
+    report.
     """
     from repro.covering.config import HeuristicConfig
     from repro.isdl.builtin_machines import BUILTIN_MACHINES

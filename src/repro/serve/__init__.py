@@ -13,8 +13,8 @@ The compiler as something that absorbs traffic:
 - :mod:`repro.serve.service` — ``run_batch`` (process-pool fan-out,
   structured ``repro/serve/v1`` results) and ``serve_stream`` (the
   ``repro serve`` JSON-lines loop).
-- :mod:`repro.serve.bench` — the zipfian cold/warm load experiment
-  behind ``BENCH_serve.json`` (``repro/bench-serve/v1``).
+- :mod:`repro.serve.bench` — the zipfian job mix the batch benchmark
+  workloads and the serve tests draw from.
 
 Single compiles opt in through ``compile_function(..., cache_dir=...)``
 or ``CodeGenerator(..., cache_dir=...)``; see ``docs/serving.md``.
@@ -27,11 +27,7 @@ from repro.serve.codec import (
     solution_from_dict,
     solution_to_dict,
 )
-from repro.serve.bench import (
-    SERVE_BENCH_SCHEMA,
-    collect_serve_bench,
-    zipfian_mix,
-)
+from repro.serve.bench import zipfian_mix
 from repro.serve.service import (
     SERVE_SCHEMA,
     CompileJob,
@@ -50,8 +46,6 @@ __all__ = [
     "CodecError",
     "solution_from_dict",
     "solution_to_dict",
-    "SERVE_BENCH_SCHEMA",
-    "collect_serve_bench",
     "zipfian_mix",
     "SERVE_SCHEMA",
     "CompileJob",

@@ -1,44 +1,20 @@
-"""``BENCH_serve.json`` — throughput and cache efficiency under load.
+"""The zipfian compile-job mix: a small universe of (example program ×
+machine × config) jobs sampled with popularity ∝ 1/rank^s, the
+canonical shape of real compile traffic (a few hot translation units
+dominate, a long tail trickles).
 
-The serve bench drives the batch service with a **zipfian job mix**: a
-small universe of (example program × machine × config) jobs sampled
-with popularity ∝ 1/rank^s, the canonical shape of real compile traffic
-(a few hot translation units dominate, a long tail trickles).  Each
-entry runs the same mix twice against one persistent block cache:
-
-- **cold** — the cache directory starts empty; first occurrences miss
-  and fill it, repeats already hit within the run;
-- **warm** — the identical mix replayed against the populated cache,
-  the steady state of a long-lived service or a CI re-run.
-
-Recorded per entry: wall clock and throughput of both passes, hit rates,
-the cold/warm speedup, and whether every job's assembly and schedule map
-were **bit-identical** across the two passes (the cache must never
-change output — :mod:`repro.artifacts` refuses reports where it did).
-
-Schema (``repro/bench-serve/v1``)::
-
-    {"schema": "repro/bench-serve/v1",
-     "entries": [{"mix": ..., "jobs": N, "unique_jobs": U, "workers": W,
-                  "cold_s": ..., "warm_s": ..., "speedup": ...,
-                  "cold_hit_rate": ..., "warm_hit_rate": ...,
-                  "cold_jobs_per_second": ..., "warm_jobs_per_second": ...,
-                  "identical": true, "cache": {...}}, ...]}
-
-Written by ``benchmarks/test_bench_serve.py`` (repo root + the bench
-results dir); CI's ``serve-smoke`` job regenerates and validates it.
+The batch workloads of the repo benchmark (``python -m bench``) draw
+their job mix with :func:`zipfian_mix` over :data:`DEFAULT_UNIVERSE`;
+the serve tests and CI's serve-smoke job drive ``run_batch`` with it.
 """
 
 from __future__ import annotations
 
 import random
-import tempfile
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.serve.service import CompileJob, run_batch
-
-SERVE_BENCH_SCHEMA = "repro/bench-serve/v1"
+from repro.serve.service import CompileJob
 
 #: (label, example file, machine spec, config overrides).  The
 #: level-window-off configs push the covering search — the part a cache
@@ -103,68 +79,3 @@ def build_universe(
             )
         )
     return jobs
-
-
-def _outputs(report: Dict[str, Any]) -> List[Tuple[str, Any, Any]]:
-    """(job_id, assembly, schedules) per result, for identity checks."""
-    return [
-        (r["job_id"], r.get("assembly"), r.get("schedules"))
-        for r in report["results"]
-    ]
-
-
-def collect_serve_bench(
-    draws: int = 32,
-    seed: int = 0,
-    workers: int = 0,
-    cache_dir: Optional[str] = None,
-    repo_root: Optional[Path] = None,
-    universe: Optional[Sequence[CompileJob]] = None,
-) -> List[Dict[str, Any]]:
-    """Run the cold/warm zipfian load experiment; the bench entries.
-
-    With ``cache_dir=None`` a throwaway directory is used.  ``workers=0``
-    measures the in-process path (stable timings, what the >=2x
-    acceptance bar applies to); pass ``workers>0`` to exercise the pool.
-    """
-    jobs = list(universe) if universe is not None else build_universe(repo_root)
-    mix = zipfian_mix(jobs, draws=draws, seed=seed)
-    scratch = None
-    if cache_dir is None:
-        scratch = tempfile.TemporaryDirectory(prefix="repro-serve-bench-")
-        cache_dir = scratch.name
-    try:
-        cold = run_batch(mix, cache_dir=cache_dir, workers=workers)
-        warm = run_batch(mix, cache_dir=cache_dir, workers=workers)
-    finally:
-        if scratch is not None:
-            scratch.cleanup()
-    statuses = {r["status"] for r in cold["results"]}
-    if statuses - {"ok"}:
-        bad = [
-            f"{r['job_id']}: {r['status']} {r['error']}"
-            for r in cold["results"]
-            if r["status"] != "ok"
-        ]
-        raise RuntimeError(
-            "serve bench universe must compile cleanly; " + "; ".join(bad)
-        )
-    entry = {
-        "mix": f"zipf-e1.2-seed{seed}",
-        "jobs": len(mix),
-        "unique_jobs": len({job.job_id for job in mix}),
-        "workers": workers,
-        "cold_s": cold["totals"]["wall_s"],
-        "warm_s": warm["totals"]["wall_s"],
-        "speedup": cold["totals"]["wall_s"]
-        / max(warm["totals"]["wall_s"], 1e-9),
-        "cold_hit_rate": cold["totals"]["cache_hit_rate"],
-        "warm_hit_rate": warm["totals"]["cache_hit_rate"],
-        "cold_jobs_per_second": cold["totals"]["jobs_per_second"],
-        "warm_jobs_per_second": warm["totals"]["jobs_per_second"],
-        "identical": _outputs(cold) == _outputs(warm),
-        "cache": warm["totals"]["cache"],
-    }
-    return [entry]
-
-

@@ -4,10 +4,10 @@
 (blocks and jobs are independent) with every worker sharing one
 persistent block cache (:mod:`repro.serve.cache`), and returns a
 structured ``repro/serve/v1`` report: one result object per job — the
-assembly listing, the per-block schedule map, headline metrics in the
-same shape as the ``BENCH_codegen.json`` entries, cache telemetry, and
-a status that distinguishes *structured* failures (a machine that
-cannot cover the program) from crashes.
+assembly listing, the per-block schedule map, headline metrics
+(instructions, spills, blocks), cache telemetry, and a status that
+distinguishes *structured* failures (a machine that cannot cover the
+program) from crashes.
 
 Jobs cross the process boundary as plain dicts (source text + ISDL
 text), so a worker never depends on the parent's object graph; the same

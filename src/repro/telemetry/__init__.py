@@ -13,9 +13,7 @@ spill rounds fired — is observable through this package:
 - :meth:`TelemetrySession.report` aggregates a per-compilation
   :class:`TelemetryReport` (text table or JSON dict);
 - :func:`chrome_trace` exports spans as Chrome ``chrome://tracing``
-  trace-event JSON, checked by :func:`validate_trace`;
-- :mod:`repro.telemetry.bench` defines the ``BENCH_codegen.json``
-  format tracking the code generator's performance trajectory.
+  trace-event JSON, checked by :func:`validate_trace`.
 
 See ``docs/observability.md`` for the span/counter model and the
 counter glossary tied to the paper's concepts.
@@ -36,15 +34,6 @@ from repro.telemetry.report import PhaseStats, TelemetryReport
 #: Alias with a less ambiguous name for the package-root namespace.
 current_session = current
 from repro.telemetry.trace import chrome_trace, validate_trace
-from repro.telemetry.bench import (
-    BENCH_SCHEMA,
-    COVER_BENCH_SCHEMA,
-    SNDAG_BENCH_SCHEMA,
-    bench_entry,
-    collect_codegen_bench,
-    collect_cover_bench,
-    collect_sndag_bench,
-)
 
 __all__ = [
     "Stopwatch",
@@ -62,11 +51,4 @@ __all__ = [
     "TelemetryReport",
     "chrome_trace",
     "validate_trace",
-    "BENCH_SCHEMA",
-    "COVER_BENCH_SCHEMA",
-    "SNDAG_BENCH_SCHEMA",
-    "bench_entry",
-    "collect_codegen_bench",
-    "collect_cover_bench",
-    "collect_sndag_bench",
 ]

@@ -4,8 +4,8 @@ A :class:`TelemetryReport` is an immutable snapshot of a session:
 the span tree aggregated per phase path (calls, wall, CPU), every
 counter, every histogram, and the session metadata.  It renders as a
 human-readable per-phase table (``describe``) and as a JSON-safe dict
-(``to_dict``) — the same shape embedded in ``BENCH_codegen.json``
-entries and the ``repro profile --json`` output.
+(``to_dict``) — the ``repro profile --json`` output and the
+``telemetry`` object of a ``repro/flight/v1`` dump.
 """
 
 from __future__ import annotations

@@ -1,9 +1,8 @@
-"""The one artifact checker: registration, committed files, mutations.
+"""The one artifact checker: registration, reads and writes, mutations.
 
 Every in-scope ``repro/*/v1`` stamp is registered in
-:data:`repro.artifacts.SCHEMAS`; every committed ledger and the trend
-baseline load through :func:`read_artifact`; and a mutation sweep over
-one small valid sample per stamp proves the checker never crashes: each
+:data:`repro.artifacts.SCHEMAS`; and a mutation sweep over one small
+valid sample per stamp proves the checker never crashes: each
 key path (the first three items of every list) is replaced with
 ``None, [], {}, "x", -1, 1.5, True`` and deleted, and ``validate`` must
 either accept or raise :class:`ValueError` — and reject every deletion
@@ -14,21 +13,14 @@ from __future__ import annotations
 
 import fnmatch
 import json
-from pathlib import Path
 
 import pytest
 
 from repro.artifacts import SCHEMAS, read_artifact, validate, write_artifact
 
-REPO = Path(__file__).parent.parent
-
 #: Every stamp the table must cover (the block codec and cache
 #: envelopes are deliberately out of scope).
 STAMPS = (
-    "repro/bench-codegen/v1",
-    "repro/bench-cover/v1",
-    "repro/bench-sndag/v1",
-    "repro/bench-serve/v1",
     "repro/bench-optimal/v1",
     "repro/bench-explore/v1",
     "repro/serve/v1",
@@ -37,8 +29,6 @@ STAMPS = (
     "repro/events/v1",
     "repro/flight/v1",
     "repro/flight-summary/v1",
-    "repro/trend-baseline/v1",
-    "repro/trend/v1",
 )
 
 REPLACEMENTS = (None, [], {}, "x", -1, 1.5, True)
@@ -47,64 +37,6 @@ REPLACEMENTS = (None, [], {}, "x", -1, 1.5, True)
 # ----------------------------------------------------------------------
 # One small valid sample per stamp (builder, deletable key patterns)
 # ----------------------------------------------------------------------
-
-
-def _codegen():
-    from repro.telemetry.bench import BENCH_SCHEMA, collect_codegen_bench
-
-    return {"schema": BENCH_SCHEMA, "entries": collect_codegen_bench(["Ex1"])}
-
-
-def _cover():
-    return {
-        "schema": "repro/bench-cover/v1",
-        "entries": [
-            {
-                "workload": "sop8-nowin",
-                "machine": "arch1_r4",
-                "config": {"level_window": None, "num_assignments": 2},
-                "heavy": True,
-                "wall_s": 0.25,
-                "metrics": {"instructions": 12, "spills": 0},
-                "counters": {
-                    "cliques.mask_kernel_calls": 4,
-                    "cover.iterations": 12,
-                },
-            }
-        ],
-    }
-
-
-def _sndag():
-    from repro.telemetry.bench import SNDAG_BENCH_SCHEMA, collect_sndag_bench
-
-    return {
-        "schema": SNDAG_BENCH_SCHEMA,
-        "entries": collect_sndag_bench(["Ex2"]),
-    }
-
-
-def _serve_bench():
-    return {
-        "schema": "repro/bench-serve/v1",
-        "entries": [
-            {
-                "mix": "zipf-e1.2-seed0",
-                "jobs": 32,
-                "unique_jobs": 8,
-                "workers": 0,
-                "cold_s": 2.0,
-                "warm_s": 0.5,
-                "speedup": 4.0,
-                "cold_hit_rate": 0.5,
-                "warm_hit_rate": 1.0,
-                "cold_jobs_per_second": 16.0,
-                "warm_jobs_per_second": 64.0,
-                "identical": True,
-                "cache": {"hits": 40, "misses": 10},
-            }
-        ],
-    }
 
 
 def _optimal():
@@ -245,54 +177,9 @@ def _flight_summary(tmp_path):
     return json.loads(recorder.write_summary().read_text())
 
 
-def _trend_metrics():
-    return {
-        "codegen.Ex1.arch1_r4.instructions": {
-            "value": 7, "direction": "min", "tolerance": 0.0, "gate": True,
-        },
-        "optimal.summary.proven": {
-            "value": 10, "direction": "max", "tolerance": 0.0, "gate": True,
-        },
-        "serve.zipf.speedup": {
-            "value": 4.0, "direction": "max", "tolerance": 0.0,
-            "gate": False,
-        },
-    }
-
-
-def _trend_baseline():
-    from repro.obs.trend import make_baseline
-
-    return make_baseline(_trend_metrics())
-
-
-def _trend():
-    from repro.obs.trend import compare, make_baseline
-
-    current = _trend_metrics()
-    current["codegen.Ex1.arch1_r4.instructions"] = dict(
-        current["codegen.Ex1.arch1_r4.instructions"], value=9
-    )
-    del current["optimal.summary.proven"]
-    current["codegen.Ex9.arch1_r4.instructions"] = dict(
-        current["codegen.Ex1.arch1_r4.instructions"]
-    )
-    return compare(make_baseline(_trend_metrics()), current)
-
-
 #: stamp -> (sample builder, key-path patterns whose deletion is fine).
 #: Paths join keys with "/" and write list indices as "*".
 SAMPLES = {
-    "repro/bench-codegen/v1": (_codegen, (
-        "entries/*/metrics/body_instructions",
-        "entries/*/metrics/original_nodes",
-        "entries/*/report/*",
-    )),
-    "repro/bench-cover/v1": (_cover, (
-        "entries/*/config/*", "entries/*/metrics/spills",
-    )),
-    "repro/bench-sndag/v1": (_sndag, ("entries/*/metrics/*",)),
-    "repro/bench-serve/v1": (_serve_bench, ("entries/*/cache/*",)),
     "repro/bench-optimal/v1": (_optimal, (
         "entries/*/solver/conflict_budget",
     )),
@@ -329,8 +216,6 @@ SAMPLES = {
         "journal/*/*",
     )),
     "repro/flight-summary/v1": (_flight_summary, ()),
-    "repro/trend-baseline/v1": (_trend_baseline, ("metrics/*",)),
-    "repro/trend/v1": (_trend, ()),
 }
 
 
@@ -392,10 +277,10 @@ class TestRegistry:
 
     def test_unknown_and_mismatched_stamps_rejected(self):
         with pytest.raises(ValueError, match="unknown artifact schema"):
-            validate({"schema": "repro/bench-cover/v0"})
+            validate({"schema": "repro/bench-optimal/v0"})
         with pytest.raises(ValueError, match=r"\$\.schema"):
-            validate(_cover(), "repro/bench-sndag/v1")
-        for payload in (None, [], "x", {"schema": ["repro/trend/v1"]}):
+            validate(_optimal(), "repro/bench-explore/v1")
+        for payload in (None, [], "x", {"schema": ["repro/metrics/v1"]}):
             with pytest.raises(ValueError):
                 validate(payload)
 
@@ -412,22 +297,22 @@ class TestRegistry:
 
 class TestReadWrite:
     def test_write_is_canonical_and_atomic(self, tmp_path):
-        payload = _cover()
-        target = tmp_path / "nested" / "BENCH_cover.json"
+        payload = _optimal()
+        target = tmp_path / "nested" / "gap.json"
         write_artifact(target, payload)
         assert target.read_text() == (
             json.dumps(payload, indent=2, sort_keys=True) + "\n"
         )
         assert sorted(p.name for p in target.parent.iterdir()) == [
-            "BENCH_cover.json"
+            "gap.json"
         ]
-        assert read_artifact(target, "repro/bench-cover/v1") == payload
+        assert read_artifact(target, "repro/bench-optimal/v1") == payload
 
     def test_write_validates_first(self, tmp_path):
-        payload = _cover()
-        payload["entries"][0]["heavy"] = False
-        target = tmp_path / "BENCH_cover.json"
-        with pytest.raises(ValueError, match="heavy"):
+        payload = _optimal()
+        payload["entries"][0]["gap"] = 2
+        target = tmp_path / "gap.json"
+        with pytest.raises(ValueError, match="gap 2 != heuristic"):
             write_artifact(target, payload)
         assert list(tmp_path.iterdir()) == []
 
@@ -441,16 +326,6 @@ class TestReadWrite:
             read_artifact(path)
         with pytest.raises(OSError):
             read_artifact(tmp_path / "absent.json")
-
-
-@pytest.mark.parametrize(
-    "name",
-    sorted(path.name for path in REPO.glob("BENCH_*.json"))
-    + ["benchmarks/trend_baseline.json"],
-)
-def test_committed_artifact_reads(name):
-    payload = read_artifact(REPO / name)
-    assert payload["schema"] in SCHEMAS
 
 
 @pytest.mark.parametrize("stamp", STAMPS)

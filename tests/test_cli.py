@@ -276,26 +276,6 @@ class TestProfiling:
         )
         assert payload["meta"]["machine"] == "arch1_r4"
 
-    def test_profile_command_bench_out(
-        self, program_file, tmp_path, capsys
-    ):
-        from repro.artifacts import read_artifact
-
-        bench_path = tmp_path / "BENCH_codegen.json"
-        code = main(
-            [
-                "profile",
-                program_file,
-                "-m",
-                "arch1",
-                "--no-run",
-                "--bench-out",
-                str(bench_path),
-            ]
-        )
-        assert code == 0
-        read_artifact(bench_path, "repro/bench-codegen/v1")
-
 
 class TestExplain:
     def test_explain_text(self, program_file, capsys):

@@ -42,7 +42,6 @@ from repro.isdl import (
 )
 from repro.sndag import build_split_node_dag
 from repro.telemetry import TelemetrySession, use_session
-from repro.telemetry.bench import COVER_WORKLOADS
 from repro.utils.bitset import bits, mask_of
 
 import reference_kernel as oracle
@@ -82,6 +81,26 @@ def _build_sop_dag(terms):
         total = dag.operation(Opcode.ADD, (total, part))
     dag.store("acc", total)
     return dag
+
+
+WINDOW = {"num_assignments": 2}
+NO_WINDOW = {"level_window": None, "num_assignments": 2}
+
+#: Clique-dense covering workloads: (DAG, registers per file, config
+#: overrides, instructions, spills).  With the level window off every
+#: pair of independent MUL/ADD tasks is a clique candidate, the regime
+#: the paper calls "the most time consuming portion of our algorithm";
+#: sop8-spill also spills, which drives the post-spill clique rebuild.
+HOTPATH_WORKLOADS = [
+    pytest.param(lambda: _build_sop_dag(8), 4, NO_WINDOW, 34, 0,
+                 id="sop8-nowin"),
+    pytest.param(lambda: _build_sop_dag(8), 2, NO_WINDOW, 63, 9,
+                 id="sop8-spill"),
+    pytest.param(lambda: build_wide_dag(14), 4, NO_WINDOW, 44, 0,
+                 id="wide14-nowin"),
+    pytest.param(lambda: build_wide_dag(12), 4, WINDOW, 46, 0,
+                 id="wide12-window"),
+]
 
 
 @pytest.mark.hotpath
@@ -142,14 +161,26 @@ class TestKernelEquivalence:
         assert outcome["bitmask"] == outcome["reference"]
 
     @pytest.mark.parametrize(
-        "workload", COVER_WORKLOADS, ids=lambda workload: workload[0]
+        "build, registers, overrides, instructions, spills", HOTPATH_WORKLOADS
     )
-    def test_cover_bench_workloads(self, workload):
-        # The BENCH_cover.json ledger's workloads, clique-dense and
-        # spilling ones included.
-        name, build, registers, overrides, _heavy = workload
-        outcome = _solve(build(), example_architecture(registers), **overrides)
-        assert outcome["bitmask"] == outcome["reference"], name
+    def test_cover_bench_workloads(
+        self, build, registers, overrides, instructions, spills
+    ):
+        session = TelemetrySession()
+        with use_session(session):
+            outcome = _solve(
+                build(), example_architecture(registers), **overrides
+            )
+        assert outcome["bitmask"] == outcome["reference"]
+        schedule, spill_count, _reloads = outcome["bitmask"]
+        assert len(schedule) == instructions
+        assert spill_count == spills
+        assert session.counter("cover.iterations") > 0
+        # Only the production loop runs the mask kernel and the
+        # incremental rebuild, so these two count its work alone.
+        assert session.counter("cliques.mask_kernel_calls") > 0
+        if spills:
+            assert session.counter("cover.incremental_rebuilds") > 0
 
     def test_clique_lists_identical(self):
         # Below the covering loop: the raw legalized clique lists agree

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.asmgen.program import compile_dag
 from repro.errors import ReproError
 from repro.eval import (
     PAPER_TABLE1,
@@ -15,6 +16,7 @@ from repro.eval import (
     workload,
 )
 from repro.isdl import architecture_two, example_architecture
+from repro.telemetry import TelemetrySession, use_session
 
 
 class TestWorkloads:
@@ -122,6 +124,25 @@ class TestSplitNodeDagColumn:
     def test_table2_counts(self):
         rows = run_table2(with_optimal=False)
         assert [r.split_node_nodes for r in rows] == [28, 41, 32, 54, 51]
+
+
+class TestCodeSize:
+    """Code size on the example architecture (4 registers per file)."""
+
+    @pytest.mark.parametrize(
+        "name, instructions", [("Ex1", 8), ("Ex2", 11), ("Ex3", 10)]
+    )
+    def test_compile_dag_counts(self, name, instructions):
+        session = TelemetrySession()
+        with use_session(session):
+            compiled = compile_dag(
+                workload(name).build(), example_architecture(4)
+            )
+        assert compiled.total_instructions == instructions
+        assert compiled.total_spills == 0
+        # The covering search ran rather than some shortcut.
+        assert session.counter("cover.iterations") > 0
+        assert session.counter("cliques.enumerated") > 0
 
 
 class TestReporting:

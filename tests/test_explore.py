@@ -292,3 +292,13 @@ class TestEvaluation:
         assert 0.0 < metrics["ipc"] <= 4.0
         for fraction in metrics["utilization"].values():
             assert 0.0 <= fraction <= 1.0
+
+
+@pytest.mark.slow
+def test_smoke_population_totals():
+    # The seed-0, 12-machine exploration CI's explore-smoke job runs.
+    payload, _timing = run_explore(seed=0, population=12, workers=0)
+    totals = payload["totals"]
+    assert (
+        totals["candidates"], totals["frontier"], totals["workload_failures"]
+    ) == (12, 5, 7)

@@ -5,7 +5,8 @@ snapshots fold into one fleet view no matter how the pool grouped or
 ordered them, so the canonical ``repro/metrics/v1`` export is
 byte-identical at any worker count.  Merge associativity/commutativity
 is property-tested with hypothesis; the exporters are tested both for
-acceptance of their own output and for rejection of tampered payloads.
+acceptance of their own output and for rejection of tampered payloads,
+and ``repro metrics`` renders, diffs and rejects exports end to end.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.artifacts import read_artifact, validate, write_artifact
+from repro.cli import main
 from repro.obs.export import (
     METRICS_SCHEMA,
     diff_metrics,
@@ -339,3 +341,42 @@ class TestDiffAndRender:
         table = render_metrics_table(payload)
         assert "obs.requests_total" in table
         assert "p50" in table
+
+
+class TestMetricsCli:
+    def _export(self, tmp_path, name="m.json"):
+        from repro.obs.export import snapshot_export
+        from repro.obs.metrics import MetricsRegistry
+
+        registry = MetricsRegistry()
+        registry.count("obs.requests_total", 2)
+        registry.observe("obs.request_instructions", 11)
+        path = tmp_path / name
+        write_artifact(path, snapshot_export(registry.snapshot()))
+        return path
+
+    def test_render_and_prom(self, tmp_path, capsys):
+        path = self._export(tmp_path)
+        assert main(["metrics", str(path)]) == 0
+        assert "obs.requests_total" in capsys.readouterr().out
+        assert main(["metrics", str(path), "--prom"]) == 0
+        assert "# TYPE obs_requests_total counter" in capsys.readouterr().out
+
+    def test_diff_exit_codes(self, tmp_path, capsys):
+        a = self._export(tmp_path, "a.json")
+        b = self._export(tmp_path, "b.json")
+        assert main(["metrics", str(a), "--diff", str(b)]) == 0
+        payload = json.loads(b.read_text())
+        payload["counters"]["obs.requests_total"] = 7
+        # keep it valid, just different
+        b.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        assert main(["metrics", str(a), "--diff", str(b)]) == 1
+        assert "obs.requests_total" in capsys.readouterr().out
+
+    def test_tampered_export_is_an_error(self, tmp_path, capsys):
+        path = self._export(tmp_path)
+        payload = json.loads(path.read_text())
+        payload["counters"]["obs.requests_total"] = -5
+        path.write_text(json.dumps(payload))
+        assert main(["metrics", str(path)]) == 2
+        assert "non-negative" in capsys.readouterr().err

@@ -14,8 +14,10 @@ from repro.isdl import example_architecture
 from repro.isdl.builtin_machines import BUILTIN_MACHINES
 from repro.artifacts import validate
 from repro.optimal import (
+    GAP_WORKLOADS,
     OPTIMAL_BENCH_SCHEMA,
     OptimalSolveResult,
+    collect_optimal_bench,
     optimal_block_solution,
     summarize_optimal_bench,
 )
@@ -226,6 +228,23 @@ class TestFuzzOracle:
         assert result.optimal_gap >= 1
         assert result.optimal_proven
         assert "optimal" in result.describe()
+
+    def test_gap_workloads_exact(self):
+        # The exact heuristic-vs-proven-optimal gap of every 4-register
+        # gap workload, Ex1..Ex5 on each machine.
+        rows = [row for row in GAP_WORKLOADS if row[2] == 4]
+        entries = collect_optimal_bench(workloads=rows)
+        gaps = {}
+        for entry in entries:
+            gaps.setdefault(entry["machine"], []).append(entry["gap"])
+        assert gaps == {
+            "arch1_r4": [0, 1, 0, 1, 3],
+            "arch2_r4": [0, 1, 0, 2, 1],
+        }
+        assert summarize_optimal_bench(entries) == {
+            "blocks": 10, "proven": 10, "improved": 6, "gap_cycles": 9,
+            "budget_exhausted": 0,
+        }
 
     def test_oracle_off_by_default(self):
         from repro.fuzz.oracle import run_case

@@ -3,7 +3,8 @@
 The Split-Node DAG materialises TRANSFER nodes on demand instead of the
 paper's eager up-front expansion.  The eager numbers it no longer builds
 are pinned here (:meth:`SplitNodeDAG.eager_transfer_node_count` must
-keep reproducing them), and the sweep at the bottom checks production
+keep reproducing them), as are the transfer nodes a compile of each
+paper workload materialises, and the sweep at the bottom checks production
 covering against the test-only reference oracle on every example
 program x machine file, and on the frozen fuzz corpus.
 """
@@ -17,10 +18,11 @@ import pytest
 from repro.asmgen.program import compile_function
 from repro.covering import HeuristicConfig, generate_block_solution
 from repro.errors import NoTransferPathError, ReproError
+from repro.eval import WORKLOADS, workload
 from repro.frontend import compile_source
 from repro.fuzz import load_case
 from repro.ir import BlockDAG, Opcode
-from repro.isdl import parse_machine
+from repro.isdl import BUILTIN_MACHINES, parse_machine
 from repro.sndag import SNKind, build_split_node_dag
 
 from conftest import build_fig2_dag
@@ -157,6 +159,38 @@ class TestLazyConstruction:
             if n.kind is SNKind.TRANSFER
         }
         assert len(buses) <= 1  # canonical representative only
+
+
+#: TRANSFER nodes a default-config compile of each paper workload
+#: materialises, on Architecture I and II (4 registers per file).
+MATERIALIZED = {
+    "arch1": {"Ex1": 20, "Ex2": 26, "Ex3": 26, "Ex4": 36, "Ex5": 30},
+    "arch2": {"Ex1": 9, "Ex2": 10, "Ex3": 10, "Ex4": 20, "Ex5": 21},
+}
+
+
+class TestPaperWorkloadMaterialization:
+    @pytest.mark.parametrize("machine_key", sorted(MATERIALIZED))
+    def test_materialized_transfer_nodes(self, machine_key):
+        machine = BUILTIN_MACHINES[machine_key](4)
+        counts = {
+            load.name: generate_block_solution(
+                load.build(), machine, HeuristicConfig()
+            ).sn.transfer_stats()["materialized"]
+            for load in WORKLOADS
+        }
+        assert counts == MATERIALIZED[machine_key]
+
+    def test_ex2_blowup_is_avoided(self, arch1):
+        # Ex2 on Architecture I: the paper's eager expansion would build
+        # 43 transfer nodes; the compile materialises 26.
+        solution = generate_block_solution(
+            workload("Ex2").build(), arch1, HeuristicConfig()
+        )
+        stats = solution.sn.transfer_stats()
+        assert (stats["eager"], stats["materialized"], stats["avoided"]) == (
+            43, 26, 17,
+        )
 
 
 def _canonical_compile(function, machine, config):

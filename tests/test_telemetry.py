@@ -1,6 +1,6 @@
 """Tests for the telemetry subsystem: sessions, spans, counters,
-reports, Chrome-trace export, the bench schema, and the guarantee that
-the null session changes nothing."""
+reports, Chrome-trace export, and the guarantee that the null session
+changes nothing."""
 
 import json
 import tracemalloc
@@ -10,6 +10,7 @@ import pytest
 from repro.frontend import compile_source
 from repro.isdl import example_architecture
 from repro.asmgen.program import compile_function
+from repro.eval import workload
 from repro.telemetry import (
     Histogram,
     NULL_SESSION,
@@ -20,12 +21,6 @@ from repro.telemetry import (
     current,
     use_session,
     validate_trace,
-)
-from repro.artifacts import validate
-from repro.telemetry.bench import (
-    BENCH_SCHEMA,
-    bench_entry,
-    collect_codegen_bench,
 )
 
 SOURCE = "y = (a + b) * (a - c);\nz = y + 1;\n"
@@ -150,15 +145,18 @@ class TestPipelineInstrumentation:
         assert session.histograms["assign.beam_occupancy"].count > 0
 
     def test_identical_compiles_produce_identical_counters(self):
-        _, first = _compile_profiled()
-        _, second = _compile_profiled()
-        assert first.counters == second.counters
-        assert {
-            name: h.to_dict() for name, h in first.histograms.items()
-        } == {name: h.to_dict() for name, h in second.histograms.items()}
-        assert [s.path() for s in first.spans] == [
-            s.path() for s in second.spans
-        ]
+        for source in (SOURCE, workload("Ex1").source):
+            _, first = _compile_profiled(source)
+            _, second = _compile_profiled(source)
+            assert first.counters == second.counters, source
+            assert {
+                name: h.to_dict() for name, h in first.histograms.items()
+            } == {
+                name: h.to_dict() for name, h in second.histograms.items()
+            }
+            assert [s.path() for s in first.spans] == [
+                s.path() for s in second.spans
+            ]
 
     def test_telemetry_does_not_change_output(self):
         machine = example_architecture(4)
@@ -292,39 +290,6 @@ class TestChromeTrace:
                     ]
                 }
             )
-
-
-class TestBenchReport:
-    def test_collect_and_validate_one_workload(self):
-        entries = collect_codegen_bench(["Ex1"])
-        assert len(entries) == 1
-        payload = {"schema": BENCH_SCHEMA, "entries": entries}
-        validate(payload, BENCH_SCHEMA)  # must not raise
-        assert payload["schema"] == BENCH_SCHEMA
-        entry = entries[0]
-        assert entry["workload"] == "Ex1"
-        assert entry["metrics"]["instructions"] > 0
-
-    def test_validate_rejects_wrong_schema(self):
-        with pytest.raises(ValueError):
-            validate({"schema": "nope", "entries": [{}]}, BENCH_SCHEMA)
-
-    def test_validate_rejects_missing_core_counter(self):
-        entries = collect_codegen_bench(["Ex1"])
-        del entries[0]["report"]["counters"]["cover.iterations"]
-        with pytest.raises(ValueError):
-            validate({"schema": BENCH_SCHEMA, "entries": entries})
-
-    def test_validate_rejects_empty_entries(self):
-        with pytest.raises(ValueError):
-            validate({"schema": BENCH_SCHEMA, "entries": []})
-
-    def test_bench_entry_shape(self):
-        entry = bench_entry(
-            "w", "m", {"phases": [], "counters": {}}, {"instructions": 1}
-        )
-        assert entry["workload"] == "w"
-        assert entry["metrics"]["instructions"] == 1
 
 
 class TestStopwatchShim:
