@@ -104,7 +104,6 @@ from repro.telemetry import (
     TelemetrySession,
     TelemetryReport,
     use_session,
-    current_session,
     chrome_trace,
     Stopwatch,
 )
@@ -169,7 +168,6 @@ __all__ = [
     "TelemetrySession",
     "TelemetryReport",
     "use_session",
-    "current_session",
     "chrome_trace",
     "Stopwatch",
     "__version__",

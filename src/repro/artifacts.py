@@ -288,7 +288,6 @@ BATCH = _envelope(
             "job_id": TEXT,
             "status": OneOf(JOB_STATUSES, "status"),
             "cache": Obj(dict.fromkeys(CACHE_COUNTERS, COUNT)),
-            "obs": Obj({"counters": MapOf(INT)}),
         })),
         "totals": Obj({
             **dict.fromkeys(

@@ -41,7 +41,7 @@ from repro.covering.taskgraph import TaskGraph
 from repro.covering.assignment import explore_assignments
 from repro.sndag.build import build_split_node_dag
 from repro.utils.bitset import iter_bits
-from repro.utils.timing import Stopwatch
+from repro.telemetry.clock import Stopwatch
 
 
 @dataclass

@@ -36,7 +36,7 @@ from repro.covering.solution import BlockSolution
 from repro.covering.taskgraph import TaskGraph
 from repro.sndag.build import SplitNodeDAG, build_split_node_dag
 from repro.sndag.nodes import Alternative
-from repro.utils.timing import Stopwatch
+from repro.telemetry.clock import Stopwatch
 
 
 def _naive_assignment(sn: SplitNodeDAG, strategy: str) -> Assignment:

@@ -72,14 +72,15 @@ Commands
     Prints a per-job summary table; ``--json`` writes the structured
     `repro/serve/v1` report (``-`` for stdout); ``--metrics-out``
     writes the canonical deterministic `repro/metrics/v1` export of
-    the merged fleet metrics (byte-identical for any ``--workers``).
+    the fleet metrics folded from the job results (byte-identical for
+    any ``--workers``).
 ``serve [--cache-dir DIR] [--validate] [--metrics-out FILE]
 [--events-out FILE] [--flight-dir DIR] [--flight-threshold S]``
     Line-oriented compile service: one JSON job request per stdin line
     (``{"id": ..., "source": "y = a + b;", "machine": "arch1"}``), one
     JSON result per stdout line, every compile backed by the
     persistent block cache.  ``--metrics-out`` exports the stream's
-    merged `repro/metrics/v1` snapshot, ``--events-out`` writes the
+    `repro/metrics/v1` snapshot, ``--events-out`` writes the
     `repro/events/v1` request log, and ``--flight-dir`` arms the
     flight recorder (dump slow/failing requests as self-contained
     artifacts; ``--flight-threshold`` sets the latency bar in seconds).
@@ -721,8 +722,13 @@ def _batch_jobs(args) -> List:
     from repro.serve.service import CompileJob
 
     if args.jobs:
-        with open(args.jobs) as handle:
-            payload = json_module.load(handle)
+        try:
+            with open(args.jobs) as handle:
+                payload = json_module.load(handle)
+        except OSError as error:
+            raise ReproError(f"cannot read {args.jobs}: {error}") from error
+        except ValueError as error:
+            raise ReproError(f"{args.jobs}: not JSON: {error}") from error
         if not isinstance(payload, list):
             raise ReproError(
                 f"{args.jobs}: a job list must be a JSON array of job "
@@ -730,7 +736,7 @@ def _batch_jobs(args) -> List:
             )
         try:
             return [CompileJob.from_dict(item) for item in payload]
-        except (KeyError, TypeError) as error:
+        except (KeyError, TypeError, ValueError) as error:
             raise ReproError(
                 f"{args.jobs}: malformed job object: {error}"
             ) from error
@@ -766,7 +772,7 @@ def _cmd_batch(args) -> int:
 
     from repro.artifacts import validate, write_artifact
     from repro.obs.export import snapshot_export
-    from repro.serve.service import merge_result_snapshots, run_batch
+    from repro.serve.service import fleet_snapshot, run_batch
 
     jobs = _batch_jobs(args)
     report = run_batch(
@@ -776,7 +782,7 @@ def _cmd_batch(args) -> int:
     if args.metrics_out:
         write_artifact(
             args.metrics_out,
-            snapshot_export(merge_result_snapshots(report["results"])),
+            snapshot_export(fleet_snapshot(report["results"])),
         )
         print(f"; wrote metrics {args.metrics_out}", file=sys.stderr)
     if args.json:
@@ -1194,8 +1200,8 @@ def build_parser() -> argparse.ArgumentParser:
     batch.add_argument(
         "--metrics-out",
         metavar="FILE",
-        help="write the canonical repro/metrics/v1 export of the merged "
-        "fleet metrics (deterministic: byte-identical for any --workers)",
+        help="write the canonical repro/metrics/v1 export of the fleet "
+        "metrics (deterministic: byte-identical for any --workers)",
     )
 
     serve = commands.add_parser(
@@ -1218,7 +1224,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--metrics-out",
         metavar="FILE",
         default=None,
-        help="write the stream's merged repro/metrics/v1 export here",
+        help="write the stream's repro/metrics/v1 export here",
     )
     serve.add_argument(
         "--events-out",
@@ -1359,7 +1365,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--metrics-out",
         metavar="FILE",
         default=None,
-        help="write the exploration's merged repro/metrics/v1 export "
+        help="write the exploration's repro/metrics/v1 export "
         "(deterministic: byte-identical for any --workers)",
     )
 

@@ -6,7 +6,9 @@ out across its process pool: module-level and dict-in/dict-out so a
 workers pay them once (the same discipline as
 :func:`repro.serve.service.execute_job`).  Every compile goes through
 the persistent block cache when ``cache_dir`` is given, so re-exploring
-a neighbourhood of the machine space is warm.
+a neighbourhood of the machine space is warm.  Evaluation records no
+service metrics: the exploration service folds its ``obs.*`` fleet view
+from the workload records returned here.
 
 A workload record carries the schedule-quality metrics the ranking
 axes need — code size, spills, per-block cycles against the
@@ -71,10 +73,7 @@ def evaluate_candidate(
     ``payload`` is self-contained: ``{"name", "isdl", "workloads":
     [{"name", "source"}, ...], "config": {...}}`` — a worker process
     never depends on the parent's object graph.  Returns the candidate
-    result with one record per workload, in suite order, plus an
-    ``"obs"`` service-metrics snapshot the pool parent merges into the
-    fleet view (:func:`repro.explore.service.run_explore` keeps it out
-    of the byte-reproducible artifact).
+    result with one record per workload, in suite order.
     """
     from repro.asmgen.program import compile_function
     from repro.covering.config import HeuristicConfig
@@ -82,14 +81,11 @@ def evaluate_candidate(
     from repro.explain.quality import quality_report
     from repro.frontend import compile_source
     from repro.isdl.parser import parse_machine
-    from repro.obs.metrics import MetricsRegistry, use_registry
 
     result: Dict[str, Any] = {
         "name": payload["name"],
         "workloads": [],
     }
-    registry = MetricsRegistry()
-    registry.count("obs.candidates_total")
     machine = parse_machine(payload["isdl"])
     config = HeuristicConfig.default().with_(**payload.get("config", {}))
     for workload in payload["workloads"]:
@@ -99,13 +95,11 @@ def evaluate_candidate(
             "error": None,
             "metrics": None,
         }
-        registry.count("obs.workloads_total")
         try:
             function = compile_source(workload["source"])
-            with use_registry(registry):
-                compiled = compile_function(
-                    function, machine, config, cache_dir=cache_dir
-                )
+            compiled = compile_function(
+                function, machine, config, cache_dir=cache_dir
+            )
         except CoverageError as error:
             record["status"] = "coverage_error"
             record["error"] = str(error)
@@ -117,18 +111,7 @@ def evaluate_candidate(
             record["error"] = f"{type(error).__name__}: {error}"
         else:
             record["metrics"] = _workload_metrics(compiled, quality_report)
-        if record["status"] == "ok":
-            registry.count("obs.workloads_ok")
-            registry.observe(
-                "obs.request_instructions", record["metrics"]["instructions"]
-            )
-            registry.observe(
-                "obs.request_spills", record["metrics"]["spills"]
-            )
-        else:
-            registry.count("obs.workloads_failed")
         result["workloads"].append(record)
-    result["obs"] = registry.snapshot().to_dict()
     return result
 
 

@@ -21,7 +21,8 @@ report — as one deterministic, parallel pipeline:
    ``(area, instructions, gap)``.  The payload carries **no wall-clock
    or worker-count data**, so a fixed seed reproduces it byte for byte
    across machines and ``--workers`` settings; timing is returned
-   separately for the CLI to print.
+   separately for the CLI to print, together with the ``obs.*`` fleet
+   snapshot folded from the candidate records.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from repro.explore.evaluate import (
 )
 from repro.explore.pareto import pareto_frontier
 from repro.explore.population import ExploreCandidate, build_population
+from repro.obs.metrics import MetricsSnapshot
 from repro.telemetry import current as _telemetry
 
 #: Versioned envelope of the exploration artifact.
@@ -188,16 +190,8 @@ def run_explore(
         },
     }
     # Fleet-level metrics ride the *timing* side channel, never the
-    # artifact: per-candidate snapshots merge associatively, so the
-    # fleet view is identical for any worker count, but the artifact
-    # stays the byte-reproducible document it always was.
-    from repro.obs.metrics import MetricsSnapshot
-
-    fleet = MetricsSnapshot.merge(
-        MetricsSnapshot.from_dict(evaluation["obs"])
-        for evaluation in evaluations
-        if isinstance(evaluation.get("obs"), dict)
-    )
+    # artifact, which stays the byte-reproducible document it always was.
+    fleet = _fleet_snapshot(records)
     fleet.set_gauge("obs.frontier_size", float(len(frontier)))
     fleet.set_gauge("obs.workers", float(workers))
     timing = {
@@ -207,6 +201,27 @@ def run_explore(
         "obs": fleet,
     }
     return payload, timing
+
+
+def _fleet_snapshot(records: List[Dict[str, Any]]) -> MetricsSnapshot:
+    """Fold candidate records into the ``obs.*`` fleet metrics.
+
+    Records keep candidate order under any pool width and every step is
+    a sum, so the fleet view is independent of the worker count.
+    """
+    fleet = MetricsSnapshot()
+    for record in records:
+        fleet.count("obs.candidates_total")
+        for workload in record["workloads"]:
+            fleet.count("obs.workloads_total")
+            if workload["status"] != "ok":
+                fleet.count("obs.workloads_failed")
+                continue
+            fleet.count("obs.workloads_ok")
+            metrics = workload["metrics"]
+            fleet.observe("obs.request_instructions", metrics["instructions"])
+            fleet.observe("obs.request_spills", metrics["spills"])
+    return fleet
 
 
 def _map_candidates(

@@ -1,17 +1,18 @@
 """Service-level observability for the compile services.
 
 ``repro.telemetry`` answers "what did *this one compile* do"; this
-package answers "what is the *service* doing" — mergeable fleet-wide
-metric snapshots (:mod:`repro.obs.metrics`), structured JSON-lines
-request logs (:mod:`repro.obs.events`), Prometheus/JSON exporters
+package answers "what is the *service* doing" — fleet-wide metric
+snapshots folded from the services' result records
+(:mod:`repro.obs.metrics`), structured JSON-lines request logs
+(:mod:`repro.obs.events`), Prometheus/JSON exporters
 (:mod:`repro.obs.export`), and a bounded flight recorder for slow or
 failing requests (:mod:`repro.obs.recorder`).
 
 Everything in this package is pure stdlib and deterministic by
-construction: metric merges are associative and commutative, request
-IDs are content-derived, and the canonical JSON export excludes
-volatile (timing-dependent) metrics so the same seeded workload
-produces byte-identical exports at any worker count.
+construction: fleet snapshots are sums over results kept in request
+order, request IDs are content-derived, and the canonical JSON export
+excludes volatile (timing-dependent) metrics so the same seeded
+workload produces byte-identical exports at any worker count.
 """
 
 from repro.obs.events import (
@@ -33,12 +34,8 @@ from repro.obs.export import (
 )
 from repro.obs.metrics import (
     METRIC_CATALOG,
-    NULL_REGISTRY,
     HistogramState,
-    MetricsRegistry,
     MetricsSnapshot,
-    current_registry,
-    use_registry,
 )
 from repro.obs.recorder import (
     FLIGHT_SCHEMA,
@@ -52,13 +49,10 @@ __all__ = [
     "FLIGHT_SCHEMA",
     "FLIGHT_SUMMARY_SCHEMA",
     "METRIC_CATALOG",
-    "NULL_REGISTRY",
     "EventLog",
     "FlightRecorder",
     "HistogramState",
-    "MetricsRegistry",
     "MetricsSnapshot",
-    "current_registry",
     "diff_metrics",
     "make_request_id",
     "read_events",
@@ -69,5 +63,4 @@ __all__ = [
     "snapshot_from_export",
     "stream_event",
     "to_prometheus",
-    "use_registry",
 ]

@@ -76,22 +76,17 @@ def snapshot_export(
 
 def snapshot_from_export(payload: Dict[str, Any]) -> MetricsSnapshot:
     """Rebuild a :class:`MetricsSnapshot` from a validated export."""
-    return MetricsSnapshot.from_dict(
-        {
-            "counters": payload["counters"],
-            "gauges": {
-                name: value
-                for name, value in payload["gauges"].items()
-                if value is not None
-            },
-            "histograms": {
-                name: {
-                    key: entry[key]
-                    for key in ("bounds", "counts", "count", "total", "min", "max")
-                }
-                for name, entry in payload["histograms"].items()
-            },
-        }
+    return MetricsSnapshot(
+        counters=dict(payload["counters"]),
+        gauges={
+            name: float(value)
+            for name, value in payload["gauges"].items()
+            if value is not None
+        },
+        histograms={
+            name: HistogramState.from_dict(entry)
+            for name, entry in payload["histograms"].items()
+        },
     )
 
 

@@ -1,45 +1,40 @@
-"""The service-level metrics registry: counters, gauges, histograms.
+"""Service metrics: counters, gauges and histograms for a fleet.
 
 :mod:`repro.telemetry` observes **one compilation**; this module
-observes a **fleet of requests**.  A :class:`MetricsRegistry` holds
-monotonic counters, gauges, and fixed-bucket histograms whose snapshots
-are plain picklable data and — crucially — **mergeable**: every
-``ProcessPoolExecutor`` worker in the batch and exploration services
-returns a per-request :class:`MetricsSnapshot`, and the parent folds
-them into one fleet view with :meth:`MetricsSnapshot.merge`.  Merging
-is associative and commutative (counters and histogram buckets add,
-gauges take the maximum), so the merged result is identical for any
-worker count or completion order — the property the byte-identical
-``--metrics-out`` exports rely on (see :mod:`repro.obs.export`).
+observes a **fleet of requests**.  A :class:`MetricsSnapshot` holds
+monotonic counters, gauges, and fixed-bucket histograms as plain data.
+The services never record into one while compiling: each request
+returns a result record (status, metrics, wall time, cache counts),
+and the fleet view is one fold over those records in request order
+(:func:`repro.serve.service.fleet_snapshot`, and the candidate fold in
+:mod:`repro.explore.service`).  Results keep job order under any pool
+width and every fold step is a sum, so the fleet view is the same for
+any worker count — the property the byte-identical ``--metrics-out``
+exports rely on (see :mod:`repro.obs.export`).
 
 Every metric must be **declared** in :data:`METRIC_CATALOG` before it
-can be recorded; unknown names raise immediately.  The catalog carries
-the help text the Prometheus exporter emits and a ``volatile`` flag
-separating deterministic metrics (request counts, instruction totals,
-size histograms — identical for identical inputs) from wall-clock and
-scheduling-dependent ones (latency histograms, shared-cache hit counts
-under a pool).  The canonical JSON export drops volatile metrics so the
-artifact is byte-reproducible; the Prometheus text export keeps them
-because a scrape *wants* live latency.
+can be recorded; unknown names and wrong kinds raise immediately.  The
+catalog carries the help text the Prometheus exporter emits and a
+``volatile`` flag separating deterministic metrics (request counts,
+instruction totals, size histograms — identical for identical inputs)
+from wall-clock and scheduling-dependent ones (latency histograms,
+shared-cache hit counts under a pool).  The canonical JSON export
+drops volatile metrics so the artifact is byte-reproducible; the
+Prometheus text export keeps them because a scrape *wants* live
+latency.
 
 Histogram buckets are **exact fixed bounds** (cumulative ``le``
 semantics, like Prometheus): two processes observing the same values
 produce identical bucket counts, and the p50/p90/p99 estimates —
 computed from the bucket counts, never from a sample reservoir — are
 deterministic too.
-
-The registry mirrors telemetry's ambient-session idiom: library code
-(the block cache) probes :func:`current_registry`, a no-op
-:data:`NULL_REGISTRY` by default, so uninstrumented compiles pay one
-attribute lookup per probe.
 """
 
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 Number = Union[int, float]
 
@@ -160,7 +155,7 @@ METRIC_CATALOG: Dict[str, MetricSpec] = _catalog(
                "Corrupt persistent-cache entries rejected on probe.",
                volatile=True),
     MetricSpec("obs.cache_hit_rate", "gauge",
-               "hits / (hits + misses) over the merged fleet view.",
+               "hits / (hits + misses) over the fleet view.",
                volatile=True),
     # -- fleet shape (volatile: configuration, not behaviour) ----------
     MetricSpec("obs.workers", "gauge",
@@ -209,7 +204,7 @@ def histogram_quantile(
 
 @dataclass
 class HistogramState:
-    """Fixed-bucket histogram data (picklable, mergeable)."""
+    """Fixed-bucket histogram data."""
 
     bounds: Tuple[float, ...]
     counts: List[int] = field(default_factory=list)
@@ -246,18 +241,6 @@ class HistogramState:
             self.bounds, self.counts, q, maximum=self.maximum
         )
 
-    def merged_with(self, other: "HistogramState") -> "HistogramState":
-        if self.bounds != other.bounds:
-            raise ValueError("cannot merge histograms with different bounds")
-        return HistogramState(
-            bounds=self.bounds,
-            counts=[a + b for a, b in zip(self.counts, other.counts)],
-            count=self.count + other.count,
-            total=self.total + other.total,
-            minimum=_merge_min(self.minimum, other.minimum),
-            maximum=_merge_max(self.maximum, other.maximum),
-        )
-
     def to_dict(self) -> Dict[str, Any]:
         return {
             "bounds": list(self.bounds),
@@ -280,199 +263,55 @@ class HistogramState:
         )
 
 
-def _merge_min(a: Optional[float], b: Optional[float]) -> Optional[float]:
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return min(a, b)
-
-
-def _merge_max(a: Optional[float], b: Optional[float]) -> Optional[float]:
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return max(a, b)
-
-
 @dataclass
 class MetricsSnapshot:
-    """A picklable, mergeable view of a registry's touched metrics.
+    """Recorded values of declared metrics.
 
-    Only metrics that were actually recorded appear (exports fill in
-    the full catalog with zeros; see :mod:`repro.obs.export`).  Merge
-    semantics: counters and histogram buckets **add**, gauges take the
-    **maximum** — all associative and commutative, so folding worker
-    snapshots in any order or grouping yields the same fleet view.
+    Strict by design: recording a name absent from
+    :data:`METRIC_CATALOG` (or with the wrong kind) raises, which is
+    what keeps the documentation glossary complete and stops a
+    misspelt name from being dropped silently by the exporters.  Only
+    metrics that were actually recorded appear here (exports fill in
+    the full catalog with zeros; see :mod:`repro.obs.export`).
     """
 
     counters: Dict[str, int] = field(default_factory=dict)
     gauges: Dict[str, float] = field(default_factory=dict)
     histograms: Dict[str, HistogramState] = field(default_factory=dict)
 
-    def merged_with(self, other: "MetricsSnapshot") -> "MetricsSnapshot":
-        counters = dict(self.counters)
-        for name, value in other.counters.items():
-            counters[name] = counters.get(name, 0) + value
-        gauges = dict(self.gauges)
-        for name, value in other.gauges.items():
-            gauges[name] = max(gauges[name], value) if name in gauges else value
-        histograms = {
-            name: HistogramState.from_dict(state.to_dict())
-            for name, state in self.histograms.items()
-        }
-        for name, state in other.histograms.items():
-            if name in histograms:
-                histograms[name] = histograms[name].merged_with(state)
-            else:
-                histograms[name] = HistogramState.from_dict(state.to_dict())
-        return MetricsSnapshot(counters, gauges, histograms)
-
-    @classmethod
-    def merge(cls, snapshots: Iterable["MetricsSnapshot"]) -> "MetricsSnapshot":
-        merged = cls()
-        for snapshot in snapshots:
-            merged = merged.merged_with(snapshot)
-        return merged
+    def count(self, name: str, n: int = 1) -> None:
+        """Add ``n`` (>= 0) to a monotonic counter."""
+        _spec(name, "counter")
+        if n < 0:
+            raise ValueError(f"counter {name!r} is monotonic; got n={n}")
+        self.counters[name] = self.counters.get(name, 0) + n
 
     def set_gauge(self, name: str, value: Number) -> None:
-        """Stamp a fleet-level gauge onto a (merged) snapshot."""
+        """Set a gauge to ``value``."""
         _spec(name, "gauge")
         self.gauges[name] = float(value)
+
+    def observe(self, name: str, value: Number) -> None:
+        """Record one histogram observation."""
+        state = self.histograms.get(name)
+        if state is None:
+            spec = _spec(name, "histogram")
+            state = self.histograms[name] = HistogramState(
+                bounds=tuple(spec.buckets or ())
+            )
+        state.observe(value)
 
     def counter(self, name: str) -> int:
         return self.counters.get(name, 0)
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "counters": {k: self.counters[k] for k in sorted(self.counters)},
-            "gauges": {k: self.gauges[k] for k in sorted(self.gauges)},
-            "histograms": {
-                k: self.histograms[k].to_dict()
-                for k in sorted(self.histograms)
-            },
-        }
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "MetricsSnapshot":
-        return cls(
-            counters={str(k): int(v) for k, v in data.get("counters", {}).items()},
-            gauges={str(k): float(v) for k, v in data.get("gauges", {}).items()},
-            histograms={
-                str(k): HistogramState.from_dict(v)
-                for k, v in data.get("histograms", {}).items()
-            },
-        )
-
-
-def _spec(name: str, expect_kind: Optional[str] = None) -> MetricSpec:
+def _spec(name: str, kind: str) -> MetricSpec:
     spec = METRIC_CATALOG.get(name)
     if spec is None:
         raise KeyError(
             f"metric {name!r} is not declared in METRIC_CATALOG — declare "
             f"(and document) it before recording"
         )
-    if expect_kind is not None and spec.kind != expect_kind:
-        raise KeyError(
-            f"metric {name!r} is a {spec.kind}, not a {expect_kind}"
-        )
+    if spec.kind != kind:
+        raise KeyError(f"metric {name!r} is a {spec.kind}, not a {kind}")
     return spec
-
-
-class MetricsRegistry:
-    """A live set of declared metrics being recorded.
-
-    Strict by design: recording a name absent from
-    :data:`METRIC_CATALOG` (or with the wrong kind) raises, which is
-    what keeps the documentation glossary complete.
-    """
-
-    enabled = True
-
-    def __init__(self) -> None:
-        self._counters: Dict[str, int] = {}
-        self._gauges: Dict[str, float] = {}
-        self._histograms: Dict[str, HistogramState] = {}
-
-    # -- probes ----------------------------------------------------------
-
-    def count(self, name: str, n: int = 1) -> None:
-        """Add ``n`` (>= 0) to a monotonic counter."""
-        _spec(name, "counter")
-        if n < 0:
-            raise ValueError(f"counter {name!r} is monotonic; got n={n}")
-        self._counters[name] = self._counters.get(name, 0) + n
-
-    def set_gauge(self, name: str, value: Number) -> None:
-        """Set a gauge to ``value``."""
-        _spec(name, "gauge")
-        self._gauges[name] = float(value)
-
-    def observe(self, name: str, value: Number) -> None:
-        """Record one histogram observation."""
-        state = self._histograms.get(name)
-        if state is None:
-            spec = _spec(name, "histogram")
-            state = self._histograms[name] = HistogramState(
-                bounds=tuple(spec.buckets or ())
-            )
-        state.observe(value)
-
-    # -- results ---------------------------------------------------------
-
-    def counter(self, name: str) -> int:
-        return self._counters.get(name, 0)
-
-    def snapshot(self) -> MetricsSnapshot:
-        """A picklable copy of everything recorded so far."""
-        return MetricsSnapshot.from_dict(
-            MetricsSnapshot(
-                counters=self._counters,
-                gauges=self._gauges,
-                histograms=self._histograms,
-            ).to_dict()
-        )
-
-
-class NullRegistry:
-    """The do-nothing registry ambient by default (no catalog checks:
-    probes on the null path must stay allocation-free no-ops)."""
-
-    enabled = False
-
-    def count(self, name: str, n: int = 1) -> None:
-        """Ignore a counter increment."""
-
-    def set_gauge(self, name: str, value: Number) -> None:
-        """Ignore a gauge set."""
-
-    def observe(self, name: str, value: Number) -> None:
-        """Ignore a histogram observation."""
-
-    def counter(self, name: str) -> int:
-        return 0
-
-
-NULL_REGISTRY = NullRegistry()
-
-_current: Union[MetricsRegistry, NullRegistry] = NULL_REGISTRY
-
-
-def current_registry() -> Union[MetricsRegistry, NullRegistry]:
-    """The registry instrumented library code should probe right now."""
-    return _current
-
-
-@contextmanager
-def use_registry(
-    registry: Union[MetricsRegistry, NullRegistry]
-) -> Iterator[Union[MetricsRegistry, NullRegistry]]:
-    """Make ``registry`` ambient within the ``with`` block (re-entrant)."""
-    global _current
-    previous = _current
-    _current = registry
-    try:
-        yield registry
-    finally:
-        _current = previous

@@ -32,8 +32,8 @@ from repro.serve.service import (
     SERVE_SCHEMA,
     CompileJob,
     execute_job,
+    fleet_snapshot,
     make_batch_report,
-    merge_result_snapshots,
     run_batch,
     serve_stream,
 )
@@ -50,8 +50,8 @@ __all__ = [
     "SERVE_SCHEMA",
     "CompileJob",
     "execute_job",
+    "fleet_snapshot",
     "make_batch_report",
-    "merge_result_snapshots",
     "run_batch",
     "serve_stream",
 ]

@@ -47,11 +47,12 @@ but fail the schedule's structural invariants are all counted under
 ``serve.cache_bad_entries``, deleted best-effort, and treated as plain
 misses; the compile then proceeds cold and re-stores a good entry.
 
-Telemetry (all zero-overhead without a session): ``serve.cache_hits``,
-``serve.cache_misses``, ``serve.cache_stores``, ``serve.cache_evictions``,
-``serve.cache_bad_entries``.  The same events also bump the ambient
-service-metrics registry (``obs.cache_*``, see :mod:`repro.obs.metrics`)
-when one is installed, so fleet-level exports see cache behaviour too.
+Telemetry (all zero-overhead without a session): each cache event is
+recorded once, into the telemetry session, as ``serve.cache_hits``,
+``serve.cache_misses``, ``serve.cache_stores``, ``serve.cache_evictions``
+or ``serve.cache_bad_entries``.  The batch service copies a job's
+session counts into its result record, and the fleet's ``obs.cache_*``
+metrics are folded from those records (:mod:`repro.serve.service`).
 """
 
 from __future__ import annotations
@@ -74,7 +75,6 @@ from repro.serve.codec import (
     solution_from_dict,
     solution_to_dict,
 )
-from repro.obs.metrics import current_registry as _obs_registry
 from repro.telemetry.session import current as _telemetry
 
 #: Entry envelope format; bump together with :data:`CODEC_FORMAT` bumps.
@@ -115,10 +115,6 @@ class BlockCache:
     and index writes are atomic renames, probes re-validate everything
     they read, and the LRU ledger degrades gracefully under lost
     updates.
-
-    Attributes:
-        counters: per-instance telemetry mirror (hits/misses/stores/
-            evictions/bad_entries), for callers without a session.
     """
 
     def __init__(
@@ -135,13 +131,6 @@ class BlockCache:
             raise ValueError("max_bytes must be positive")
         self.max_entries = max_entries
         self.max_bytes = max_bytes
-        self.counters: Dict[str, int] = {
-            "hits": 0,
-            "misses": 0,
-            "stores": 0,
-            "evictions": 0,
-            "bad_entries": 0,
-        }
 
     # ------------------------------------------------------------------
     # Addressing
@@ -218,10 +207,8 @@ class BlockCache:
     # Internals
     # ------------------------------------------------------------------
 
-    def _count(self, what: str, n: int = 1) -> None:
-        self.counters[what] += n
-        _telemetry().count(f"serve.cache_{what}", n)
-        _obs_registry().count(f"obs.cache_{what}", n)
+    def _count(self, what: str) -> None:
+        _telemetry().count(f"serve.cache_{what}")
 
     def _reject(self, path: Path, error: Exception) -> None:
         """A bad entry: count it, log it as a miss, drop the file."""
@@ -358,10 +345,6 @@ class BlockCache:
             for path in self.root.glob("*.json")
             if path.name != "index.json"
         )
-
-    def stats(self) -> Dict[str, int]:
-        """A snapshot of this instance's probe counters."""
-        return dict(self.counters)
 
     def clear(self) -> None:
         """Remove every entry and the index."""

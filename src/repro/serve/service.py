@@ -13,6 +13,11 @@ Jobs cross the process boundary as plain dicts (source text + ISDL
 text), so a worker never depends on the parent's object graph; the same
 ``execute_job`` function also backs the in-process path (``workers=0``)
 that tests and the ``repro serve`` line-oriented mode use.
+
+The ``obs.*`` fleet metrics are not recorded while compiling: every one
+is a function of fields each result record already carries (status,
+metrics, wall time, cache counts), and :func:`fleet_snapshot` computes
+them with one fold over the results in job order.
 """
 
 from __future__ import annotations
@@ -21,6 +26,8 @@ import json
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional
+
+from repro.obs.metrics import MetricsSnapshot
 
 #: Versioned envelope of a batch report.
 SERVE_SCHEMA = "repro/serve/v1"
@@ -81,13 +88,12 @@ def execute_job(
     Module-level and dict-in/dict-out so ``ProcessPoolExecutor`` can
     pickle it; imports stay inside so pool workers pay them once.
 
-    Every result carries its own service-metrics snapshot under
-    ``"obs"`` (see :mod:`repro.obs.metrics`) so a pool parent can merge
-    per-worker measurements into one fleet view, plus a deterministic
-    telemetry span summary under ``"telemetry"``.  With ``flight=True``
-    the compile also records a decision journal and Chrome trace,
-    returned under ``"flight"`` for the flight recorder to dump — the
-    caller pops that key before writing the result anywhere.
+    Every result carries the job's cache counts under ``"cache"`` (read
+    from its telemetry session) and a deterministic telemetry span
+    summary under ``"telemetry"``.  With ``flight=True`` the compile
+    also records a decision journal and Chrome trace, returned under
+    ``"flight"`` for the flight recorder to dump — the caller pops that
+    key before writing the result anywhere.
     """
     from repro.asmgen.program import compile_function
     from repro.covering.config import HeuristicConfig
@@ -95,7 +101,6 @@ def execute_job(
     from repro.explain import DecisionJournal
     from repro.frontend import compile_source
     from repro.isdl.parser import parse_machine
-    from repro.obs.metrics import MetricsRegistry, use_registry
     from repro.telemetry import TelemetryReport, TelemetrySession, use_session
 
     job = CompileJob.from_dict(payload)
@@ -113,13 +118,12 @@ def execute_job(
     }
     journal = DecisionJournal() if flight else None
     session = TelemetrySession(journal=journal) if flight else TelemetrySession()
-    registry = MetricsRegistry()
     started = time.perf_counter()
     try:
         machine = parse_machine(job.machine_isdl)
         result["machine"] = machine.name
         config = HeuristicConfig.default().with_(**job.config)
-        with use_session(session), use_registry(registry):
+        with use_session(session):
             function = compile_source(job.source)
             compiled = compile_function(
                 function,
@@ -156,18 +160,6 @@ def execute_job(
         name: session.counter(f"serve.cache_{name}")
         for name in CACHE_COUNTERS
     }
-    registry.count("obs.requests_total")
-    registry.count(f"obs.requests_{result['status']}")
-    if result["status"] == "ok":
-        metrics = result["metrics"]
-        registry.count("obs.instructions_total", metrics["instructions"])
-        registry.count("obs.spills_total", metrics["spills"])
-        registry.count("obs.blocks_total", metrics["blocks"])
-        registry.observe("obs.request_instructions", metrics["instructions"])
-        registry.observe("obs.request_blocks", metrics["blocks"])
-        registry.observe("obs.request_spills", metrics["spills"])
-    registry.observe("obs.request_wall_seconds", result["wall_s"])
-    result["obs"] = registry.snapshot().to_dict()
     report = TelemetryReport.from_session(session)
     result["telemetry"] = report.span_summary()
     if flight:
@@ -229,31 +221,27 @@ def make_batch_report(
 ) -> Dict[str, Any]:
     """Wrap per-job results in the versioned envelope with totals.
 
-    Per-result ``"obs"`` snapshots (one per worker-side compile) are
-    folded into one fleet-level snapshot, exported under the report's
+    The fleet snapshot of the results is exported under the report's
     top-level ``"obs"`` key with volatile metrics included — the report
     is a diagnostic document, not the canonical byte-stable export.
     """
     from repro.obs.export import snapshot_export
 
-    cache = {name: 0 for name in CACHE_COUNTERS}
-    for result in results:
-        for name in CACHE_COUNTERS:
-            cache[name] += result.get("cache", {}).get(name, 0)
-    probes = cache["hits"] + cache["misses"]
-    ok = sum(1 for r in results if r["status"] == "ok")
+    fleet = fleet_snapshot(results)
+    fleet.set_gauge("obs.workers", float(workers))
+    cache = {
+        name: fleet.counter(f"obs.cache_{name}") for name in CACHE_COUNTERS
+    }
+    ok = fleet.counter("obs.requests_ok")
     structured = sum(
-        1 for r in results if r["status"] in STRUCTURED_FAILURES
+        fleet.counter(f"obs.requests_{status}")
+        for status in STRUCTURED_FAILURES
     )
-    merged = merge_result_snapshots(results)
-    merged.set_gauge("obs.workers", float(workers))
-    if probes:
-        merged.set_gauge("obs.cache_hit_rate", cache["hits"] / probes)
     return {
         "schema": SERVE_SCHEMA,
         "workers": workers,
         "results": results,
-        "obs": snapshot_export(merged, include_volatile=True),
+        "obs": snapshot_export(fleet, include_volatile=True),
         "totals": {
             "jobs": len(results),
             "ok": ok,
@@ -262,26 +250,45 @@ def make_batch_report(
             "wall_s": wall_s,
             "jobs_per_second": (len(results) / wall_s) if wall_s > 0 else 0.0,
             "cache": cache,
-            "cache_hit_rate": (cache["hits"] / probes) if probes else 0.0,
+            "cache_hit_rate": fleet.gauges.get("obs.cache_hit_rate", 0.0),
         },
     }
 
 
-def merge_result_snapshots(results: List[Dict[str, Any]]):
-    """Fold every result's ``"obs"`` snapshot into one fleet snapshot.
+def fleet_snapshot(
+    results: Iterable[Dict[str, Any]],
+    into: Optional[MetricsSnapshot] = None,
+) -> MetricsSnapshot:
+    """Fold result records into the ``obs.*`` fleet metrics.
 
-    This is the merge the whole registry design exists for: each pool
-    worker measured its own requests; the fold is associative and
-    commutative, so the fleet view is independent of worker count and
-    completion order.
+    Each result adds its status, its ok-request sizes, its wall time
+    and its cache counts; ``obs.cache_hit_rate`` is then recomputed
+    from the running totals.  The fold records into ``into`` when given
+    (the ``repro serve`` loop folds one result at a time), else into a
+    fresh snapshot.  Results keep job order under any pool width and
+    every step is a sum, so the fleet view is independent of the
+    worker count.
     """
-    from repro.obs.metrics import MetricsSnapshot
-
-    return MetricsSnapshot.merge(
-        MetricsSnapshot.from_dict(result["obs"])
-        for result in results
-        if isinstance(result.get("obs"), dict)
-    )
+    fleet = MetricsSnapshot() if into is None else into
+    for result in results:
+        fleet.count("obs.requests_total")
+        fleet.count(f"obs.requests_{result['status']}")
+        if result["status"] == "ok":
+            metrics = result["metrics"]
+            fleet.count("obs.instructions_total", metrics["instructions"])
+            fleet.count("obs.spills_total", metrics["spills"])
+            fleet.count("obs.blocks_total", metrics["blocks"])
+            fleet.observe("obs.request_instructions", metrics["instructions"])
+            fleet.observe("obs.request_blocks", metrics["blocks"])
+            fleet.observe("obs.request_spills", metrics["spills"])
+        fleet.observe("obs.request_wall_seconds", result["wall_s"])
+        for name in CACHE_COUNTERS:
+            fleet.count(f"obs.cache_{name}", result["cache"][name])
+    hits = fleet.counter("obs.cache_hits")
+    probes = hits + fleet.counter("obs.cache_misses")
+    if probes:
+        fleet.set_gauge("obs.cache_hit_rate", hits / probes)
+    return fleet
 
 
 def serve_stream(
@@ -316,7 +323,9 @@ def serve_stream(
     Observability side channels, all optional:
 
     - ``metrics_out`` — canonical deterministic ``repro/metrics/v1``
-      export of the whole stream's merged metrics.
+      export of the whole stream: the stream-level counts recorded in
+      the loop plus every compiled result folded by
+      :func:`fleet_snapshot`.
     - ``events_out`` — ``repro/events/v1`` JSON-lines request log.
     - ``flight_dir`` (+ ``flight_threshold`` seconds) — flight recorder
       dumping self-contained artifacts for slow or failing requests.
@@ -331,11 +340,9 @@ def serve_stream(
     )
     from repro.artifacts import write_artifact
     from repro.obs.export import snapshot_export
-    from repro.obs.metrics import MetricsRegistry, MetricsSnapshot
     from repro.obs.recorder import FlightRecorder
 
-    stream_registry = MetricsRegistry()
-    snapshots = []
+    stream = MetricsSnapshot()
     event_log = EventLog(events_out) if events_out is not None else None
     recorder = (
         FlightRecorder(flight_dir, threshold_s=flight_threshold)
@@ -352,9 +359,7 @@ def serve_stream(
             continue
         served["requests"] += 1
         request_id = make_request_id(served["requests"], line)
-        stream_registry.observe(
-            "obs.request_line_bytes", len(line.encode("utf-8"))
-        )
+        stream.observe("obs.request_line_bytes", len(line.encode("utf-8")))
         bad_request = False
         try:
             request = json.loads(line)
@@ -392,19 +397,17 @@ def serve_stream(
                 "cache": {name: 0 for name in CACHE_COUNTERS},
                 "wall_s": 0.0,
             }
-            stream_registry.count("obs.requests_total")
-            stream_registry.count("obs.requests_bad")
+            stream.count("obs.requests_total")
+            stream.count("obs.requests_bad")
+        else:
+            fleet_snapshot([result], into=stream)
         flight_payload = result.pop("flight", None)
-        request_snapshot = result.pop("obs", None)
-        if request_snapshot is not None:
-            snapshots.append(MetricsSnapshot.from_dict(request_snapshot))
         artifact_name = None
         if recorder is not None:
             artifact_metrics = {}
-            if request_snapshot is not None:
+            if not bad_request:
                 artifact_metrics = snapshot_export(
-                    MetricsSnapshot.from_dict(request_snapshot),
-                    include_volatile=True,
+                    fleet_snapshot([result]), include_volatile=True
                 )
             artifact_name = recorder.observe(
                 request_id,
@@ -415,7 +418,7 @@ def serve_stream(
                 flight=flight_payload,
             )
             if artifact_name is not None:
-                stream_registry.count("obs.flight_dumps")
+                stream.count("obs.flight_dumps")
         if event_log is not None:
             event_log.emit(
                 request_event(
@@ -447,21 +450,10 @@ def serve_stream(
 
     if event_log is not None:
         event_log.emit(stream_event("stream_end", **served))
-        stream_registry.count("obs.events_emitted", event_log.emitted)
+        stream.count("obs.events_emitted", event_log.emitted)
         event_log.close()
     if recorder is not None:
         recorder.write_summary()
     if metrics_out is not None:
-        merged = MetricsSnapshot.merge(
-            [stream_registry.snapshot()] + snapshots
-        )
-        probes = merged.counters.get("obs.cache_hits", 0) + merged.counters.get(
-            "obs.cache_misses", 0
-        )
-        if probes:
-            merged.set_gauge(
-                "obs.cache_hit_rate",
-                merged.counters.get("obs.cache_hits", 0) / probes,
-            )
-        write_artifact(metrics_out, snapshot_export(merged))
+        write_artifact(metrics_out, snapshot_export(stream))
     return served

@@ -30,9 +30,6 @@ from repro.telemetry.session import (
     use_session,
 )
 from repro.telemetry.report import PhaseStats, TelemetryReport
-
-#: Alias with a less ambiguous name for the package-root namespace.
-current_session = current
 from repro.telemetry.trace import chrome_trace, validate_trace
 
 __all__ = [
@@ -45,7 +42,6 @@ __all__ = [
     "SpanRecord",
     "TelemetrySession",
     "current",
-    "current_session",
     "use_session",
     "PhaseStats",
     "TelemetryReport",

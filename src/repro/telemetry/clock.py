@@ -1,4 +1,4 @@
-"""CPU-time measurement (formerly ``repro.utils.timing``).
+"""CPU-time measurement.
 
 The paper reports CPU seconds on a Sun Ultra-30/300; we report CPU
 seconds on the host.  :class:`Stopwatch` uses ``time.process_time`` so

@@ -2,7 +2,7 @@
 
 from repro.utils.ordered_set import OrderedSet
 from repro.utils.ids import IdAllocator
-from repro.utils.timing import Stopwatch
+from repro.telemetry.clock import Stopwatch
 from repro.utils.graph import (
     reachable_from,
     topological_order,

@@ -123,13 +123,13 @@ def _explain():
 
 def _metrics():
     from repro.obs.export import snapshot_export
-    from repro.obs.metrics import MetricsRegistry
+    from repro.obs.metrics import MetricsSnapshot
 
-    registry = MetricsRegistry()
-    registry.count("obs.requests_total", 2)
-    registry.observe("obs.request_instructions", 11)
-    registry.set_gauge("obs.workers", 2.0)
-    return snapshot_export(registry.snapshot())
+    snapshot = MetricsSnapshot()
+    snapshot.count("obs.requests_total", 2)
+    snapshot.observe("obs.request_instructions", 11)
+    snapshot.set_gauge("obs.workers", 2.0)
+    return snapshot_export(snapshot)
 
 
 def _event():
@@ -199,8 +199,7 @@ SAMPLES = {
         "results/*/telemetry", "results/*/telemetry/*",
         "results/*/metrics", "results/*/metrics/*",
         "results/*/assembly", "results/*/schedules", "results/*/schedules/*",
-        "results/*/error", "results/*/obs/*",
-        "obs", "obs/gauges/*",
+        "results/*/error", "obs", "obs/gauges/*",
     )),
     "repro/explain/v1": (_explain, (
         "meta/*", "blocks/*/decisions/*/data/*",

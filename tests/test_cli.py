@@ -376,9 +376,9 @@ class TestMalformedArtifacts:
         import json
 
         from repro.obs.export import snapshot_export
-        from repro.obs.metrics import MetricsRegistry
+        from repro.obs.metrics import MetricsSnapshot
 
-        payload = snapshot_export(MetricsRegistry().snapshot())
+        payload = snapshot_export(MetricsSnapshot())
         good = tmp_path / "good.json"
         good.write_text(json.dumps(payload))
         payload["histograms"]["obs.request_blocks"]["bounds"] = None
@@ -390,3 +390,24 @@ class TestMalformedArtifacts:
             err = capsys.readouterr().err
             assert err.startswith(f"error: {bad}: $.histograms")
             assert "bounds" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            None,
+            "{not json",
+            '[{"job_id": "j", "source": "y = a;", "machine": "",'
+            ' "config": "abc"}]',
+        ],
+        ids=["missing", "not-json", "config-not-an-object"],
+    )
+    def test_bad_batch_jobs_file_is_a_one_line_error(
+        self, tmp_path, capsys, content
+    ):
+        path = tmp_path / "jobs.json"
+        if content is not None:
+            path.write_text(content)
+        assert main(["batch", "--jobs", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(path) in err

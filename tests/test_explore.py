@@ -29,6 +29,7 @@ from repro.explore import (
 )
 from repro.explore.population import load_base_machines
 from repro.isdl import example_architecture
+from repro.obs.export import snapshot_export
 
 
 class TestDominance:
@@ -297,8 +298,22 @@ class TestEvaluation:
 @pytest.mark.slow
 def test_smoke_population_totals():
     # The seed-0, 12-machine exploration CI's explore-smoke job runs.
-    payload, _timing = run_explore(seed=0, population=12, workers=0)
+    payload, timing = run_explore(seed=0, population=12, workers=0)
     totals = payload["totals"]
     assert (
         totals["candidates"], totals["frontier"], totals["workload_failures"]
     ) == (12, 5, 7)
+    export = snapshot_export(timing["obs"])
+    counters = export["counters"]
+    assert (
+        counters["obs.candidates_total"],
+        counters["obs.workloads_total"],
+        counters["obs.workloads_ok"],
+        counters["obs.workloads_failed"],
+    ) == (12, 84, 77, 7)
+    histograms = export["histograms"]
+    assert [
+        (histograms[name]["count"], histograms[name]["total"])
+        for name in ("obs.request_instructions", "obs.request_spills")
+    ] == [(77, 1425), (77, 72)]
+    assert export["gauges"]["obs.frontier_size"] == 5.0

@@ -1,22 +1,18 @@
-"""The service-metrics registry, snapshots, and exporters.
+"""The service-metrics catalog, snapshots, and exporters.
 
-The property that carries the whole design is *mergeability*: worker
-snapshots fold into one fleet view no matter how the pool grouped or
-ordered them, so the canonical ``repro/metrics/v1`` export is
-byte-identical at any worker count.  Merge associativity/commutativity
-is property-tested with hypothesis; the exporters are tested both for
-acceptance of their own output and for rejection of tampered payloads,
-and ``repro metrics`` renders, diffs and rejects exports end to end.
+Recording into a :class:`MetricsSnapshot` is checked against the
+declared catalog (unknown names and wrong kinds raise); the exporters
+are tested both for acceptance of their own output and for rejection
+of tampered payloads, and ``repro metrics`` renders, diffs and rejects
+exports end to end.  That the fleet view folded from result records is
+independent of worker count is tested in ``test_obs_service.py``.
 """
 
 from __future__ import annotations
 
 import json
-import pickle
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.artifacts import read_artifact, validate, write_artifact
 from repro.cli import main
@@ -31,13 +27,9 @@ from repro.obs.export import (
 )
 from repro.obs.metrics import (
     METRIC_CATALOG,
-    NULL_REGISTRY,
     HistogramState,
-    MetricsRegistry,
     MetricsSnapshot,
-    current_registry,
     histogram_quantile,
-    use_registry,
 )
 
 
@@ -58,71 +50,41 @@ class TestCatalog:
 
 
 class TestRegistry:
+    """Recording into a snapshot is checked against the catalog."""
+
     def test_counters_accumulate(self):
-        registry = MetricsRegistry()
-        registry.count("obs.requests_total")
-        registry.count("obs.requests_total", 4)
-        assert registry.counter("obs.requests_total") == 5
-        assert registry.counter("obs.requests_ok") == 0
+        snapshot = MetricsSnapshot()
+        snapshot.count("obs.requests_total")
+        snapshot.count("obs.requests_total", 4)
+        assert snapshot.counter("obs.requests_total") == 5
+        assert snapshot.counter("obs.requests_ok") == 0
 
     def test_unknown_name_raises(self):
-        registry = MetricsRegistry()
+        snapshot = MetricsSnapshot()
         with pytest.raises(KeyError, match="METRIC_CATALOG"):
-            registry.count("obs.nonexistent")
+            snapshot.count("obs.nonexistent")
         with pytest.raises(KeyError):
-            registry.set_gauge("obs.nope", 1.0)
+            snapshot.set_gauge("obs.nope", 1.0)
         with pytest.raises(KeyError):
-            registry.observe("obs.never", 1.0)
+            snapshot.observe("obs.never", 1.0)
 
     def test_wrong_kind_raises(self):
-        registry = MetricsRegistry()
+        snapshot = MetricsSnapshot()
         with pytest.raises(KeyError, match="is a gauge"):
-            registry.count("obs.workers")
+            snapshot.count("obs.workers")
         with pytest.raises(KeyError, match="is a counter"):
-            registry.observe("obs.requests_total", 1)
+            snapshot.observe("obs.requests_total", 1)
 
     def test_counters_are_monotonic(self):
-        registry = MetricsRegistry()
+        snapshot = MetricsSnapshot()
         with pytest.raises(ValueError, match="monotonic"):
-            registry.count("obs.requests_total", -1)
+            snapshot.count("obs.requests_total", -1)
 
     def test_gauge_overwrites(self):
-        registry = MetricsRegistry()
-        registry.set_gauge("obs.workers", 4)
-        registry.set_gauge("obs.workers", 2)
-        assert registry.snapshot().gauges["obs.workers"] == 2.0
-
-    def test_snapshot_is_a_copy(self):
-        registry = MetricsRegistry()
-        registry.count("obs.requests_total")
-        snapshot = registry.snapshot()
-        registry.count("obs.requests_total")
-        assert snapshot.counter("obs.requests_total") == 1
-
-    def test_snapshot_pickles(self):
-        registry = MetricsRegistry()
-        registry.count("obs.requests_total", 3)
-        registry.observe("obs.request_instructions", 17)
-        registry.set_gauge("obs.workers", 4)
-        snapshot = registry.snapshot()
-        clone = pickle.loads(pickle.dumps(snapshot))
-        assert clone.to_dict() == snapshot.to_dict()
-
-    def test_ambient_registry(self):
-        assert current_registry() is NULL_REGISTRY
-        registry = MetricsRegistry()
-        with use_registry(registry):
-            assert current_registry() is registry
-            current_registry().count("obs.requests_total")
-        assert current_registry() is NULL_REGISTRY
-        assert registry.counter("obs.requests_total") == 1
-
-    def test_null_registry_is_inert(self):
-        NULL_REGISTRY.count("anything.at.all")
-        NULL_REGISTRY.set_gauge("anything", 1.0)
-        NULL_REGISTRY.observe("anything", 1.0)
-        assert NULL_REGISTRY.counter("anything") == 0
-        assert not NULL_REGISTRY.enabled
+        snapshot = MetricsSnapshot()
+        snapshot.set_gauge("obs.workers", 4)
+        snapshot.set_gauge("obs.workers", 2)
+        assert snapshot.gauges["obs.workers"] == 2.0
 
 
 class TestHistograms:
@@ -150,12 +112,6 @@ class TestHistograms:
     def test_empty_quantile_is_zero(self):
         assert histogram_quantile((1, 2), [0, 0, 0], 0.5) == 0.0
 
-    def test_merge_requires_same_bounds(self):
-        with pytest.raises(ValueError, match="different bounds"):
-            HistogramState(bounds=(1,)).merged_with(
-                HistogramState(bounds=(1, 2))
-            )
-
 
 def _canonical(payload):
     """The bytes :func:`repro.artifacts.write_artifact` writes."""
@@ -163,66 +119,14 @@ def _canonical(payload):
 
 
 def _snapshot(counts, observations, gauge=None):
-    registry = MetricsRegistry()
+    snapshot = MetricsSnapshot()
     for name, n in counts:
-        registry.count(name, n)
+        snapshot.count(name, n)
     for value in observations:
-        registry.observe("obs.request_instructions", value)
+        snapshot.observe("obs.request_instructions", value)
     if gauge is not None:
-        registry.set_gauge("obs.workers", gauge)
-    return registry.snapshot()
-
-
-COUNTER_NAMES = st.sampled_from(
-    ["obs.requests_total", "obs.requests_ok", "obs.spills_total"]
-)
-SNAPSHOTS = st.builds(
-    _snapshot,
-    st.lists(st.tuples(COUNTER_NAMES, st.integers(0, 50)), max_size=4),
-    st.lists(st.integers(0, 5000), max_size=6),
-    st.one_of(st.none(), st.integers(0, 8)),
-)
-
-
-class TestMergeProperties:
-    @settings(max_examples=60, deadline=None)
-    @given(a=SNAPSHOTS, b=SNAPSHOTS)
-    def test_merge_commutative(self, a, b):
-        assert a.merged_with(b).to_dict() == b.merged_with(a).to_dict()
-
-    @settings(max_examples=60, deadline=None)
-    @given(a=SNAPSHOTS, b=SNAPSHOTS, c=SNAPSHOTS)
-    def test_merge_associative(self, a, b, c):
-        left = a.merged_with(b).merged_with(c)
-        right = a.merged_with(b.merged_with(c))
-        assert left.to_dict() == right.to_dict()
-
-    @settings(max_examples=30, deadline=None)
-    @given(parts=st.lists(SNAPSHOTS, min_size=1, max_size=5))
-    def test_fold_equals_pairwise(self, parts):
-        folded = MetricsSnapshot.merge(parts)
-        pairwise = parts[0]
-        for part in parts[1:]:
-            pairwise = pairwise.merged_with(part)
-        assert folded.to_dict() == pairwise.to_dict()
-
-    @settings(max_examples=30, deadline=None)
-    @given(a=SNAPSHOTS, b=SNAPSHOTS)
-    def test_merged_export_is_grouping_independent(self, a, b):
-        one = _canonical(snapshot_export(MetricsSnapshot.merge([a, b])))
-        two = _canonical(snapshot_export(b.merged_with(a)))
-        assert one == two
-
-    def test_merge_semantics(self):
-        a = _snapshot([("obs.requests_total", 2)], [10], gauge=1)
-        b = _snapshot([("obs.requests_total", 3)], [100], gauge=4)
-        merged = a.merged_with(b)
-        assert merged.counter("obs.requests_total") == 5
-        assert merged.gauges["obs.workers"] == 4.0
-        hist = merged.histograms["obs.request_instructions"]
-        assert hist.count == 2
-        assert hist.minimum == 10
-        assert hist.maximum == 100
+        snapshot.set_gauge("obs.workers", gauge)
+    return snapshot
 
 
 class TestExport:
@@ -345,14 +249,11 @@ class TestDiffAndRender:
 
 class TestMetricsCli:
     def _export(self, tmp_path, name="m.json"):
-        from repro.obs.export import snapshot_export
-        from repro.obs.metrics import MetricsRegistry
-
-        registry = MetricsRegistry()
-        registry.count("obs.requests_total", 2)
-        registry.observe("obs.request_instructions", 11)
         path = tmp_path / name
-        write_artifact(path, snapshot_export(registry.snapshot()))
+        write_artifact(
+            path,
+            snapshot_export(_snapshot([("obs.requests_total", 2)], [11])),
+        )
         return path
 
     def test_render_and_prom(self, tmp_path, capsys):

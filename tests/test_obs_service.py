@@ -1,11 +1,11 @@
 """Observability wired through the services: events, flight, exports.
 
-The service-level invariants ISSUE 10 promises: ``execute_job`` results
-carry a mergeable ``obs`` snapshot, ``run_batch`` exports are
-byte-identical at any worker count, ``serve_stream`` survives garbage
-lines with structured errors while logging validated events, and the
-flight recorder dumps a self-contained artifact for slow and failing
-requests.
+The service-level invariants: the fleet metrics folded from
+``execute_job`` result records count what each result says,
+``run_batch`` exports are byte-identical at any worker count,
+``serve_stream`` survives garbage lines with structured errors while
+logging validated events, and the flight recorder dumps a
+self-contained artifact for slow and failing requests.
 """
 
 from __future__ import annotations
@@ -26,7 +26,11 @@ from repro.obs.events import (
     request_event,
     stream_event,
 )
-from repro.obs.export import snapshot_export
+from repro.obs.export import (
+    METRICS_SCHEMA,
+    snapshot_export,
+    snapshot_from_export,
+)
 from repro.obs.metrics import MetricsSnapshot
 from repro.obs.recorder import (
     FLIGHT_SCHEMA,
@@ -36,7 +40,7 @@ from repro.obs.recorder import (
 from repro.serve import (
     CompileJob,
     execute_job,
-    merge_result_snapshots,
+    fleet_snapshot,
     run_batch,
     serve_stream,
 )
@@ -107,7 +111,8 @@ class TestEvents:
 class TestExecuteJobObs:
     def test_result_carries_snapshot(self):
         result = execute_job(JOBS[0].to_dict())
-        snapshot = MetricsSnapshot.from_dict(result["obs"])
+        assert "obs" not in result
+        snapshot = fleet_snapshot([result])
         assert snapshot.counter("obs.requests_total") == 1
         assert snapshot.counter("obs.requests_ok") == 1
         assert (
@@ -132,7 +137,7 @@ class TestExecuteJobObs:
                 job_id="broken", source="y = ((;", machine_isdl=ARCH1_ISDL
             ).to_dict()
         )
-        snapshot = MetricsSnapshot.from_dict(result["obs"])
+        snapshot = fleet_snapshot([result])
         assert snapshot.counter("obs.requests_error") == 1
         assert snapshot.counter("obs.requests_ok") == 0
 
@@ -145,22 +150,31 @@ class TestBatchByteIdentity:
                 JOBS, cache_dir=str(tmp_path / f"cache{workers}"),
                 workers=workers,
             )
-            merged = merge_result_snapshots(report["results"])
+            fleet = fleet_snapshot(report["results"])
             path = tmp_path / f"metrics{workers}.json"
-            write_artifact(path, snapshot_export(merged))
+            write_artifact(path, snapshot_export(fleet))
             exports[workers] = path.read_bytes()
         assert exports[1] == exports[4]
 
     def test_serial_matches_pool(self, tmp_path):
-        serial = merge_result_snapshots(run_batch(JOBS)["results"])
-        pooled = merge_result_snapshots(
-            run_batch(JOBS, workers=2)["results"]
-        )
+        serial = fleet_snapshot(run_batch(JOBS)["results"])
+        pooled = fleet_snapshot(run_batch(JOBS, workers=2)["results"])
         write_artifact(tmp_path / "serial.json", snapshot_export(serial))
         write_artifact(tmp_path / "pooled.json", snapshot_export(pooled))
         assert (tmp_path / "serial.json").read_bytes() == (
             tmp_path / "pooled.json"
         ).read_bytes()
+
+    def test_stepwise_fold_matches_whole_fold(self):
+        # The serve loop folds one result at a time into its stream
+        # snapshot; that must equal folding the whole list at once.
+        results = run_batch(JOBS)["results"]
+        stepwise = MetricsSnapshot()
+        for result in results:
+            fleet_snapshot([result], into=stepwise)
+        assert snapshot_export(stepwise, include_volatile=True) == (
+            snapshot_export(fleet_snapshot(results), include_volatile=True)
+        )
 
     def test_report_embeds_fleet_obs(self):
         report = run_batch(JOBS[:2], workers=0)
@@ -317,3 +331,56 @@ class TestFlightRecorderUnit:
         artifact["reason"] = "vibes"
         with pytest.raises(ValueError, match="reason"):
             validate(artifact, FLIGHT_SCHEMA)
+
+
+def _pinned(export, *names):
+    """``obs.<name>`` values of an export: counters and gauges as
+    numbers, histograms as ``(count, total)``."""
+    values = []
+    for name in names:
+        full = f"obs.{name}"
+        if full in export["histograms"]:
+            entry = export["histograms"][full]
+            values.append((entry["count"], entry["total"]))
+        elif full in export["counters"]:
+            values.append(export["counters"][full])
+        else:
+            values.append(export["gauges"][full])
+    return tuple(values)
+
+
+class TestExportPins:
+    """Exact fleet exports for fixed inputs.
+
+    The values were measured on the per-worker-snapshot implementation
+    the fold over result records replaced; any drift in what the fleet
+    view counts shows here.
+    """
+
+    def test_batch_canonical_export(self):
+        report = run_batch(JOBS)
+        export = snapshot_export(snapshot_from_export(report["obs"]))
+        assert _pinned(
+            export, "requests_total", "requests_ok", "instructions_total",
+            "blocks_total", "spills_total",
+        ) == (4, 4, 25, 4, 0)
+        assert _pinned(
+            export, "request_instructions", "request_blocks",
+            "request_spills",
+        ) == ((4, 25), (4, 4), (4, 0))
+
+    def test_cold_then_warm_cache_counts(self, tmp_path):
+        names = ("cache_hits", "cache_misses", "cache_stores", "cache_hit_rate")
+        cold = run_batch(JOBS, cache_dir=str(tmp_path))
+        warm = run_batch(JOBS, cache_dir=str(tmp_path))
+        assert _pinned(cold["obs"], *names) == (0, 4, 4, 0.0)
+        assert _pinned(warm["obs"], *names) == (4, 0, 0, 1.0)
+
+    def test_stream_canonical_export(self, tmp_path):
+        path = tmp_path / "metrics.json"
+        serve_stream(_stream_lines(), io.StringIO(), metrics_out=str(path))
+        export = read_artifact(path, METRICS_SCHEMA)
+        assert _pinned(
+            export, "requests_total", "requests_ok", "requests_bad",
+            "instructions_total", "blocks_total", "request_line_bytes",
+        ) == (3, 2, 1, 10, 2, (3, 838))

@@ -43,9 +43,11 @@ def seeded(arch, tmp_path):
 
 
 def assert_rejected(cache, dag, key, arch, expected_bad=1):
-    assert cache.get(key, dag, arch) is None
-    assert cache.counters["bad_entries"] == expected_bad
-    assert cache.counters["hits"] == 0
+    session = TelemetrySession()
+    with use_session(session):
+        assert cache.get(key, dag, arch) is None
+    assert session.counter("serve.cache_bad_entries") == expected_bad
+    assert session.counter("serve.cache_hits") == 0
     assert not cache.entry_path(key).exists()  # dropped best-effort
 
 

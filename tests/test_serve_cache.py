@@ -4,8 +4,9 @@ Covers the cache-layer satellites of the serving issue:
 
 - a disk hit is **bit-identical** to a cold compile — assembly text and
   per-block schedule map — for example programs across machines and
-  both clique kernels, and the warm result passes the independent
-  translation validator (the property/differential harness);
+  both covering loops (production and the test-only reference oracle),
+  and the warm result passes the independent translation validator
+  (the property/differential harness);
 - LRU eviction respects both the entry and byte budgets and a *touched*
   entry survives where an untouched one is evicted;
 - the in-memory memo of the covering engine is true LRU: a hot key
@@ -29,6 +30,7 @@ from repro.frontend import compile_source
 from repro.ir import BlockDAG, Opcode
 from repro.isdl import example_architecture
 from repro.serve import BlockCache
+from repro.serve.service import CACHE_COUNTERS
 from repro.telemetry import TelemetrySession, use_session
 from repro.verify import verify_function
 
@@ -55,15 +57,20 @@ class TestBlockCache:
         cache = BlockCache(tmp_path)
         dag = build_fig2_dag()
         key = cache_key(dag, arch1)
-        assert cache.get(key, dag, arch1) is None  # cold miss
         solution = generate_block_solution(dag, arch1)
-        cache.put(key, solution)
-        hit = cache.get(key, dag, arch1)
+        session = TelemetrySession()
+        with use_session(session):
+            assert cache.get(key, dag, arch1) is None  # cold miss
+            cache.put(key, solution)
+            hit = cache.get(key, dag, arch1)
         assert hit is not None
         assert [sorted(w) for w in hit.schedule] == [
             sorted(w) for w in solution.schedule
         ]
-        assert cache.stats() == {
+        assert {
+            name: session.counter(f"serve.cache_{name}")
+            for name in CACHE_COUNTERS
+        } == {
             "hits": 1,
             "misses": 1,
             "stores": 1,
@@ -90,8 +97,10 @@ class TestBlockCache:
         cache.put(keys[1], generate_block_solution(dags[1], arch1))
         # Touch entry 0: it becomes the most recently used.
         assert cache.get(keys[0], dags[0], arch1) is not None
-        cache.put(keys[2], generate_block_solution(dags[2], arch1))
-        assert cache.counters["evictions"] == 1
+        session = TelemetrySession()
+        with use_session(session):
+            cache.put(keys[2], generate_block_solution(dags[2], arch1))
+        assert session.counter("serve.cache_evictions") == 1
         assert len(cache) == 2
         # The untouched entry 1 was the victim; the hot entry survived.
         assert cache.get(keys[0], dags[0], arch1) is not None
@@ -105,9 +114,13 @@ class TestBlockCache:
         entry_bytes = probe.entry_path(cache_key(dag, arch1)).stat().st_size
         cache = BlockCache(tmp_path / "small", max_bytes=entry_bytes + 8)
         dags = [chain_dag(1, seed) for seed in range(3)]
-        for dag in dags:
-            cache.put(cache_key(dag, arch1), generate_block_solution(dag, arch1))
-        assert cache.counters["evictions"] >= 1
+        session = TelemetrySession()
+        with use_session(session):
+            for dag in dags:
+                cache.put(
+                    cache_key(dag, arch1), generate_block_solution(dag, arch1)
+                )
+        assert session.counter("serve.cache_evictions") >= 1
         assert len(cache) <= 2
 
     def test_index_rebuilt_from_scan(self, arch1, tmp_path):

@@ -293,11 +293,6 @@ class TestChromeTrace:
 
 
 class TestStopwatchShim:
-    def test_utils_timing_is_the_same_class(self):
-        from repro.utils.timing import Stopwatch as shimmed
-
-        assert shimmed is Stopwatch
-
     def test_elapsed_while_running(self):
         watch = Stopwatch()
         watch.start()
