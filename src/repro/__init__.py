@@ -74,8 +74,8 @@ from repro.frontend import compile_source, parse_program
 from repro.sndag import build_split_node_dag, SplitNodeDAG
 from repro.covering import (
     HeuristicConfig,
-    CodeGenerator,
     generate_block_solution,
+    solve_block,
     BlockSolution,
 )
 from repro.regalloc import allocate_registers
@@ -139,8 +139,8 @@ __all__ = [
     "build_split_node_dag",
     "SplitNodeDAG",
     "HeuristicConfig",
-    "CodeGenerator",
     "generate_block_solution",
+    "solve_block",
     "BlockSolution",
     "allocate_registers",
     "peephole_optimize",

@@ -60,21 +60,6 @@ class OptimalResult:
     cpu_seconds: float = 0.0
 
 
-def _live_banks(graph: TaskGraph, covered: FrozenSet[int]) -> Dict[str, int]:
-    """Per-bank occupancy implied by a covered-task set (order-free)."""
-    counts = {rf.name: 0 for rf in graph.machine.register_files}
-    for task_id in covered:
-        task = graph.tasks.get(task_id)
-        if task is None or task.dest_storage not in counts:
-            continue
-        pending = any(
-            c not in covered for c in graph.consumers_of(task_id)
-        )
-        if pending or task_id in graph.pinned:
-            counts[task.dest_storage] += 1
-    return counts
-
-
 def _feasible(
     graph: TaskGraph,
     covered: FrozenSet[int],

@@ -141,9 +141,16 @@ def resolve_machine(spec: str) -> Machine:
     name, _, registers = spec.partition(":")
     if name in BUILTIN_MACHINES:
         factory = BUILTIN_MACHINES[name]
-        if registers:
-            return factory(int(registers))
-        return factory()
+        if not registers:
+            return factory()
+        try:
+            count = int(registers)
+        except ValueError:
+            raise ReproError(
+                f"machine {spec!r}: the register count after ':' must be "
+                f"an integer"
+            ) from None
+        return factory(count)
     try:
         with open(spec) as handle:
             return parse_machine(handle.read())
@@ -160,8 +167,23 @@ def _parse_bindings(pairs: List[str]) -> dict:
         if "=" not in pair:
             raise ReproError(f"--set expects VAR=VALUE, got {pair!r}")
         name, _, value = pair.partition("=")
-        environment[name] = int(value)
+        try:
+            environment[name] = int(value)
+        except ValueError:
+            raise ReproError(
+                f"--set {pair!r}: the value must be an integer"
+            ) from None
     return environment
+
+
+def _read_source(path: str) -> str:
+    """The text of the input file ``path``; an unreadable file is a
+    usage error, not a traceback."""
+    try:
+        with open(path) as handle:
+            return handle.read()
+    except OSError as error:
+        raise ReproError(f"cannot read {path}: {error.strerror}") from None
 
 
 def _cmd_machines(_args) -> int:
@@ -233,8 +255,7 @@ def _cmd_compile(args) -> int:
     from repro.telemetry import use_session
 
     machine = resolve_machine(args.machine)
-    with open(args.source) as handle:
-        source = handle.read()
+    source = _read_source(args.source)
     config = HeuristicConfig.default()
     if args.heuristics_off:
         config = HeuristicConfig.heuristics_off()
@@ -336,8 +357,7 @@ def _cmd_run(args) -> int:
     from repro.telemetry import use_session
 
     machine = resolve_machine(args.machine)
-    with open(args.source) as handle:
-        source = handle.read()
+    source = _read_source(args.source)
     environment = _parse_bindings(args.set or [])
     profiling = args.profile or args.trace_out
     session = _open_session(machine, args.source) if profiling else None
@@ -379,8 +399,7 @@ def _cmd_profile(args) -> int:
     from repro.telemetry import use_session
 
     machine = resolve_machine(args.machine)
-    with open(args.source) as handle:
-        source = handle.read()
+    source = _read_source(args.source)
     environment = _parse_bindings(args.set or [])
     session = _open_session(machine, args.source)
     with use_session(session):
@@ -534,8 +553,7 @@ def _verify_targets(args) -> List[tuple]:
         return targets
     if not args.source:
         raise ReproError("verify needs a SOURCE file or --corpus DIR")
-    with open(args.source) as handle:
-        source = handle.read()
+    source = _read_source(args.source)
     specs = list(args.machine or [])
     if args.machines_dir:
         found = sorted(Path(args.machines_dir).glob("*.isdl"))
@@ -667,8 +685,7 @@ def _cmd_explain(args) -> int:
     )
 
     machine = resolve_machine(args.machine)
-    with open(args.source) as handle:
-        source = handle.read()
+    source = _read_source(args.source)
     config = HeuristicConfig.default()
     report, _compiled, error = explain_source(
         source,
@@ -752,8 +769,7 @@ def _batch_jobs(args) -> List:
         raise ReproError("batch needs --machine or --machines-dir")
     jobs = []
     for source_path in args.source:
-        with open(source_path) as handle:
-            source = handle.read()
+        source = _read_source(source_path)
         for spec in specs:
             machine = resolve_machine(spec)
             jobs.append(

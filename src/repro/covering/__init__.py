@@ -36,7 +36,7 @@ from repro.covering.cliques import (
 from repro.covering.pressure import PressureTracker
 from repro.covering.cover import cover_assignment
 from repro.covering.solution import BlockSolution
-from repro.covering.engine import CodeGenerator, generate_block_solution
+from repro.covering.engine import generate_block_solution, solve_block
 
 __all__ = [
     "HeuristicConfig",
@@ -52,6 +52,6 @@ __all__ = [
     "PressureTracker",
     "cover_assignment",
     "BlockSolution",
-    "CodeGenerator",
     "generate_block_solution",
+    "solve_block",
 ]

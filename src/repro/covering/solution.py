@@ -10,7 +10,7 @@ determined.  Only detailed register allocation remains.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.covering.assignment import Assignment
 from repro.covering.taskgraph import TaskGraph
@@ -36,10 +36,6 @@ class BlockSolution:
     def instruction_count(self) -> int:
         """Code size of the block body (control flow excluded)."""
         return len(self.schedule)
-
-    def tasks_in_cycle(self, cycle: int) -> List[int]:
-        """Task ids issued in the given cycle."""
-        return list(self.schedule[cycle])
 
     def cycle_of(self, task_id: int) -> int:
         """Issue cycle of ``task_id`` (KeyError if unscheduled)."""

@@ -581,14 +581,6 @@ class TaskGraph:
         """Tasks that read the delivery made by ``task_id``, ascending."""
         return sorted(self._consumers.get(task_id, ()))
 
-    def deliveries_into(self, storage: str) -> List[int]:
-        """Tasks that write a value into ``storage``."""
-        return [
-            task_id
-            for task_id in self.task_ids()
-            if self.tasks[task_id].dest_storage == storage
-        ]
-
     def register_deliveries(self) -> List[int]:
         """Tasks whose result occupies a register (dest is a register file)."""
         rf_names = {r.name for r in self.machine.register_files}

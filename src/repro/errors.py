@@ -95,8 +95,8 @@ class RegisterAllocationError(ReproError):
 class VerificationError(ReproError):
     """The independent schedule validator found invariant violations.
 
-    Raised by validating pipelines (``CodeGenerator(validate=True)``,
-    ``compile_function(validate=True)``); carries the structured
+    Raised by ``compile_function(validate=True)`` and by the optimal
+    backend's certification of improving schedules; carries the structured
     :class:`repro.verify.violations.Violation` list so callers can
     report *which* paper invariant broke.
     """

@@ -2,23 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Union
+from typing import Dict, List, Optional
 
 from repro.eval.experiments import ExperimentRow
-
-
-def format_activity(counts: Mapping[str, Union[int, float]]) -> str:
-    """Render an activity/utilization mapping one ``key: value`` per
-    line, keys sorted — stable across hash seeds and declaration order
-    (suitable for golden files)."""
-    lines = []
-    for key in sorted(counts):
-        value = counts[key]
-        if isinstance(value, float):
-            lines.append(f"  {key}: {value:.3f}")
-        else:
-            lines.append(f"  {key}: {value}")
-    return "\n".join(lines)
 
 
 def _fmt_instr(row: ExperimentRow) -> str:

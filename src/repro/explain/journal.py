@@ -4,11 +4,10 @@ The covering search makes a handful of consequential decision kinds —
 beam keep/prune during assignment exploration (paper, Fig. 6), transfer
 path selection (IV-B), clique selection per covering step with its
 lookahead tie-break (IV-D), constraint-driven clique splits (IV-C.3),
-spill-victim ranking (Fig. 9), and the engineering-level block memo.
-Telemetry counters say how *often* each fired; a
-:class:`DecisionJournal` records each occurrence with the losing
-candidates and their scores, so a schedule can be audited decision by
-decision.
+and spill-victim ranking (Fig. 9).  Telemetry counters say how *often*
+each fired; a :class:`DecisionJournal` records each occurrence with the
+losing candidates and their scores, so a schedule can be audited
+decision by decision.
 
 A journal rides on a :class:`repro.telemetry.TelemetrySession`
 (``TelemetrySession(journal=DecisionJournal())``); instrumented code
@@ -29,8 +28,6 @@ from typing import Any, Dict, List, Optional
 #: the decision implements (see ``docs/observability.md``).
 DECISION_KINDS = frozenset(
     {
-        "memo.hit",  # block-solution memo served a cached schedule
-        "memo.miss",  # block compiled fresh
         "assignment.bind",  # split-node alternatives kept/pruned (Fig. 6)
         "assignment.beam",  # frontier truncated to the beam limit
         "assignment.select",  # complete assignments ranked and selected

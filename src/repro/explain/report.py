@@ -169,8 +169,6 @@ def _describe_entry(entry: Dict[str, Any]) -> str:
             f"{data['instructions']} instructions, {data['spills']} "
             f"spills, {data['reloads']} reloads"
         )
-    if kind in ("memo.hit", "memo.miss"):
-        return f"dag {data['dag']} machine {data['machine']} pin {data['pin']}"
     return str(data)
 
 

@@ -355,5 +355,4 @@ def build_population(
             stale = 0
         else:
             stale += 1
-    tm.count("explore.candidates", len(candidates))
     return candidates

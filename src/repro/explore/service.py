@@ -130,24 +130,18 @@ def run_explore(
 
     with tm.span("explore.evaluate", category="explore"):
         evaluations = _map_candidates(payloads, workers, cache_dir)
-    tm.count("explore.evaluations", len(evaluations))
 
     records = [
         _aggregate(candidate, evaluation)
         for candidate, evaluation in zip(candidates, evaluations)
     ]
     failures = sum(r["failures"] for r in records)
-    tm.count(
-        "explore.workloads_ok", sum(r["workloads_ok"] for r in records)
-    )
-    tm.count("explore.workload_failures", failures)
 
     vectors = {record["name"]: candidate_vector(record) for record in records}
     frontier_names = pareto_frontier(vectors)
     by_name = {record["name"]: record for record in records}
     for name in frontier_names:
         by_name[name]["frontier"] = True
-    tm.count("explore.frontier_size", len(frontier_names))
 
     if budget > 0:
         with tm.span("explore.tighten", category="explore"):

@@ -118,10 +118,6 @@ class RegisterFile:
                 f"register file {self.name!r} must have at least 1 register"
             )
 
-    def register_names(self) -> List[str]:
-        """Qualified register names, e.g. ['RF1.R0', ...]."""
-        return [f"{self.name}.R{i}" for i in range(self.size)]
-
 
 @dataclass(frozen=True)
 class Memory:

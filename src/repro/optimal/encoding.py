@@ -120,10 +120,6 @@ class AssignmentEncoding:
     # Literal accessors (constants folded at the window edges)
     # ------------------------------------------------------------------
 
-    def x_lit(self, task_id: int, cycle: int) -> Optional[int]:
-        """The ``x[t,c]`` variable, or ``None`` outside the window."""
-        return self._x[task_id].get(cycle)
-
     def issued_lit(self, task_id: int, cycle: int) -> int:
         """Literal for ``issue(t) <= cycle`` (constant at the edges)."""
         est, lst = self.windows[task_id]

@@ -45,12 +45,6 @@ class InterferenceGraph:
         """The set of values conflicting with ``node``."""
         return set(self.edges[node])
 
-    def max_clique_lower_bound(self) -> int:
-        """For interval graphs (which these are — live ranges on a line)
-        the chromatic number equals the maximum overlap; this returns a
-        cheap bound used in tests."""
-        return max((self.degree(n) for n in self.nodes), default=0)
-
 
 def build_interference_graphs(
     solution: BlockSolution,

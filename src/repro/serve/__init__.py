@@ -6,18 +6,17 @@ The compiler as something that absorbs traffic:
   (``repro/block-solution/v1``), rebuilding the deterministic parts of
   the object web from the cache key's inputs.
 - :mod:`repro.serve.cache` — :class:`BlockCache`, the on-disk cache
-  keyed by the covering engine's ``(DAG fingerprint, machine
-  fingerprint, config, pin)`` memo key: atomic writes, version-stamped
-  entries, full-key verification, size-bounded LRU eviction, and
-  ``serve.*`` telemetry.
+  keyed by ``(DAG fingerprint, machine fingerprint, config, pin)``:
+  atomic writes, version-stamped entries, full-key verification,
+  size-bounded LRU eviction, and ``serve.*`` telemetry.
 - :mod:`repro.serve.service` — ``run_batch`` (process-pool fan-out,
   structured ``repro/serve/v1`` results) and ``serve_stream`` (the
   ``repro serve`` JSON-lines loop).
 - :mod:`repro.serve.bench` — the zipfian job mix the batch benchmark
   workloads and the serve tests draw from.
 
-Single compiles opt in through ``compile_function(..., cache_dir=...)``
-or ``CodeGenerator(..., cache_dir=...)``; see ``docs/serving.md``.
+Single compiles opt in through ``compile_function(..., cache_dir=...)``;
+see ``docs/serving.md``.
 """
 
 from repro.serve.cache import BlockCache, key_digest, key_to_dict

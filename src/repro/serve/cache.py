@@ -1,13 +1,13 @@
 """Persistent content-addressed block-solution cache.
 
-Promotes the in-memory block memo of :mod:`repro.covering.engine` to
-disk so compiles warm-start **across processes** — the batch service,
-repeated CLI invocations, the fuzz harness, and CI runs all share one
-cache directory.
+Stores the block solutions of :mod:`repro.covering.engine` on disk so
+compiles warm-start **across processes** — the batch service, repeated
+CLI invocations, the fuzz harness, and CI runs all share one cache
+directory.
 
 Key anatomy
 -----------
-An entry is addressed by the exact in-memory memo key::
+An entry is addressed by the key the covering engine computes::
 
     (dag.fingerprint(), machine_fingerprint(machine), config, pin_value)
 
@@ -85,12 +85,12 @@ CACHE_FORMAT = "repro/block-cache/v1"
 #: is load-bearing, long enough that they are rare in practice.
 NAME_HEX = 16
 
-#: Memo key tuple as produced by the covering engine.
-MemoKey = Tuple[str, str, HeuristicConfig, Optional[int]]
+#: Cache key tuple as produced by the covering engine.
+CacheKey = Tuple[str, str, HeuristicConfig, Optional[int]]
 
 
-def key_to_dict(key: MemoKey) -> Dict[str, Any]:
-    """JSON-ready form of a memo key (config as its sorted field dict)."""
+def key_to_dict(key: CacheKey) -> Dict[str, Any]:
+    """JSON-ready form of a cache key (config as its sorted field dict)."""
     dag_fp, machine_fp, config, pin = key
     return {
         "dag": dag_fp,
@@ -100,7 +100,7 @@ def key_to_dict(key: MemoKey) -> Dict[str, Any]:
     }
 
 
-def key_digest(key: MemoKey) -> str:
+def key_digest(key: CacheKey) -> str:
     """Full SHA-256 hex digest of the canonical key rendering."""
     canonical = json.dumps(
         key_to_dict(key), sort_keys=True, separators=(",", ":")
@@ -136,11 +136,11 @@ class BlockCache:
     # Addressing
     # ------------------------------------------------------------------
 
-    def entry_name(self, key: MemoKey) -> str:
+    def entry_name(self, key: CacheKey) -> str:
         """Filename of the entry this key addresses."""
         return key_digest(key)[:NAME_HEX] + ".json"
 
-    def entry_path(self, key: MemoKey) -> Path:
+    def entry_path(self, key: CacheKey) -> Path:
         return self.root / self.entry_name(key)
 
     @property
@@ -152,7 +152,7 @@ class BlockCache:
     # ------------------------------------------------------------------
 
     def get(
-        self, key: MemoKey, dag: BlockDAG, machine: Machine
+        self, key: CacheKey, dag: BlockDAG, machine: Machine
     ) -> Optional[BlockSolution]:
         """The cached solution for ``key``, or ``None`` on a miss.
 
@@ -189,7 +189,7 @@ class BlockCache:
         self._touch(path.name)
         return solution
 
-    def put(self, key: MemoKey, solution: BlockSolution) -> None:
+    def put(self, key: CacheKey, solution: BlockSolution) -> None:
         """Store ``solution`` under ``key`` (atomic; then evict LRU)."""
         document = {
             "format": CACHE_FORMAT,

@@ -161,7 +161,7 @@ def _flight():
         "metrics": {"schema": "repro/metrics/v1"},
         "telemetry": {"phases": []},
         "trace": {"traceEvents": [{"ph": "X", "name": "compile"}]},
-        "journal": [{"seq": 0, "kind": "memo.miss"}],
+        "journal": [{"seq": 0, "kind": "block.solution"}],
     }
 
 

@@ -1,11 +1,15 @@
 """Tests for the command-line interface."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main, resolve_machine
 from repro.errors import ReproError
 
 from reference_kernel import reference_kernel
+
+FIR4 = str(Path(__file__).parent.parent / "examples" / "fir4.minic")
 
 
 @pytest.fixture
@@ -348,11 +352,22 @@ class TestExplain:
 
     def test_explain_diff_machines_exit_one(self, program_file, capsys):
         code = main(
-            ["explain", program_file, "-m", "arch1", "--diff", "fig6"]
+            ["explain", program_file, "-m", "arch1", "--diff", "arch2"]
         )
         out = capsys.readouterr().out
         assert code == 1
         assert "DIVERGED" in out
+        assert "assignment.bind" in out
+
+    def test_explain_diff_same_decisions_exit_zero(self, capsys):
+        # fir4 makes the same decisions on fig6 and on arch1, so the
+        # two machines diff as identical.
+        code = main(
+            ["explain", FIR4, "-m", "fig6", "--diff", "arch1"]
+        )
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "identical" in out
 
     def test_verify_json_links_decisions(self, program_file, capsys):
         import json
@@ -367,6 +382,28 @@ class TestExplain:
         # tests/test_explain.py via find_decision).
         for block in result["blocks"]:
             assert block["violations"] == []
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compile", "{missing}", "-m", "arch1"],
+            ["compile", "{program}", "-m", "arch1:x"],
+            ["run", "{program}", "-m", "arch1", "--set", "a=x"],
+        ],
+        ids=["missing-source", "register-suffix", "set-value"],
+    )
+    def test_bad_input_is_a_one_line_error(
+        self, argv, program_file, tmp_path, capsys
+    ):
+        missing = str(tmp_path / "nope.minic")
+        argv = [
+            arg.format(missing=missing, program=program_file) for arg in argv
+        ]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestMalformedArtifacts:

@@ -4,9 +4,9 @@ Every counter and histogram a real compilation (plus a simulated run)
 can emit must appear in the glossary table — matched by name or by an
 fnmatch pattern like ``sim.unit.*`` — so the documentation cannot
 silently drift as instrumentation is added.  The emitting workload is
-the frozen fuzz corpus: it exercises spills, constraint splits, memo
-hits, clique enumeration, and the validator, which is as close to
-"every counter the pipeline has" as a deterministic test can get.
+the frozen fuzz corpus: it exercises spills, constraint splits, clique
+enumeration, and the validator, which is as close to "every counter
+the pipeline has" as a deterministic test can get.
 """
 
 from __future__ import annotations

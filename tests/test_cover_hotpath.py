@@ -1,15 +1,14 @@
 """Differential and regression tests for the bitmask covering loop.
 
 The production loop (integer bitmasks, incremental ready-set
-maintenance, incremental post-spill clique rebuilds, the block-solution
-memo) is checked against the test-only reference oracle in
-``tests/reference_kernel.py`` (``"reference"``), the set/matrix loop it
-was derived from.  The contract is *bit identity*: same schedules, same
-spill decisions, same instruction counts, on every workload.  These
-tests enforce that contract differentially and pin the bugfixes that
-rode along (call-scoped loop stats, the uncoverable-task diagnostic,
-the visited-memo cap, stall-NOP/bound interaction, empty-NOP
-round-trips).
+maintenance, incremental post-spill clique rebuilds) is checked against
+the test-only reference oracle in ``tests/reference_kernel.py``
+(``"reference"``), the set/matrix loop it was derived from.  The
+contract is *bit identity*: same schedules, same spill decisions, same
+instruction counts, on every workload.  These tests enforce that
+contract differentially and pin the bugfixes that rode along
+(call-scoped loop stats, the uncoverable-task diagnostic, the
+visited-memo cap, stall-NOP/bound interaction, empty-NOP round-trips).
 """
 
 from __future__ import annotations
@@ -21,12 +20,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.covering import (
-    CodeGenerator,
     HeuristicConfig,
     TaskGraph,
     cover_assignment,
     explore_assignments,
     generate_block_solution,
+    solve_block,
 )
 import repro.covering.cliques as cliques_module
 import repro.covering.cover as cover_module
@@ -34,12 +33,13 @@ from repro.covering.engine import machine_fingerprint
 from repro.covering.parallelism import parallelism_masks
 from repro.errors import CoverageError, ReproError
 from repro.eval.workloads import WORKLOADS
-from repro.ir import BlockDAG, Opcode
+from repro.ir import BasicBlock, BlockDAG, Opcode
 from repro.isdl import (
     example_architecture,
     parse_machine,
     pipelined_dsp_architecture,
 )
+from repro.serve import BlockCache
 from repro.sndag import build_split_node_dag
 from repro.telemetry import TelemetrySession, use_session
 from repro.utils.bitset import bits, mask_of
@@ -346,43 +346,45 @@ class TestVisitedCap:
 
 
 class TestBlockSolutionMemo:
-    """Structurally identical blocks compile once per CodeGenerator."""
+    """A block's solution depends only on its content key (DAG
+    fingerprint, machine fingerprint, config, pin), the key the
+    persistent block cache stores it under."""
 
-    def test_second_compile_hits(self):
-        generator = CodeGenerator(example_architecture(4))
+    def test_second_compile_hits(self, tmp_path):
+        machine = example_architecture(4)
+        cache = BlockCache(tmp_path)
         session = TelemetrySession()
         with use_session(session):
-            first = generator.compile_dag(build_fig2_dag())
-            second = generator.compile_dag(build_fig2_dag())
-        counters = session.report().to_dict()["counters"]
-        assert counters["cover.memo_misses"] == 1
-        assert counters["cover.memo_hits"] == 1
-        assert second.schedule == first.schedule
-        assert second.spill_count == first.spill_count
+            first, _ = solve_block(
+                BasicBlock("entry", build_fig2_dag()), machine, cache=cache
+            )
+            second, _ = solve_block(
+                BasicBlock("entry", build_fig2_dag()), machine, cache=cache
+            )
+        assert session.counter("serve.cache_stores") == 1
+        assert session.counter("serve.cache_hits") == 1
+        # The same block solved again from scratch: the same schedule.
+        fresh, _ = solve_block(BasicBlock("entry", build_fig2_dag()), machine)
+        schedules = [
+            [sorted(word) for word in solution.schedule]
+            for solution in (first, second, fresh)
+        ]
+        assert schedules[0] == schedules[1] == schedules[2]
+        assert second.spill_count == first.spill_count == fresh.spill_count
         second.validate()
 
-    def test_hit_returns_private_copy(self):
-        generator = CodeGenerator(example_architecture(4))
-        first = generator.compile_dag(build_fig2_dag())
-        pristine = [sorted(word) for word in first.schedule]
-        # Mutate the returned solution the way downstream passes do.
-        first.schedule = []
-        first.graph.tasks.clear()
-        second = generator.compile_dag(build_fig2_dag())
-        assert [sorted(word) for word in second.schedule] == pristine
-        assert second.graph.tasks
-        second.validate()
-
-    def test_different_machines_do_not_collide(self):
+    def test_different_machines_do_not_collide(self, tmp_path):
+        cache = BlockCache(tmp_path)
         session = TelemetrySession()
         with use_session(session):
-            small = CodeGenerator(example_architecture(2))
-            large = CodeGenerator(example_architecture(4))
-            small.compile_dag(build_wide_dag(5))
-            large.compile_dag(build_wide_dag(5))
-        counters = session.report().to_dict()["counters"]
-        assert counters["cover.memo_misses"] == 2
-        assert counters.get("cover.memo_hits", 0) == 0
+            for registers in (2, 4):
+                solve_block(
+                    BasicBlock("entry", build_wide_dag(5)),
+                    example_architecture(registers),
+                    cache=cache,
+                )
+        assert session.counter("serve.cache_stores") == 2
+        assert session.counter("serve.cache_hits") == 0
 
     def test_fingerprints_are_content_hashes(self):
         assert build_fig2_dag().fingerprint() == build_fig2_dag().fingerprint()

@@ -3,13 +3,13 @@
 import pytest
 
 from repro.covering import (
-    CodeGenerator,
     HeuristicConfig,
     PressureTracker,
     TaskGraph,
     cover_assignment,
     explore_assignments,
     generate_block_solution,
+    solve_block,
 )
 from repro.errors import CoverageError
 from repro.ir import BlockDAG, Opcode
@@ -214,9 +214,11 @@ class TestEngine:
         assert many.instruction_count <= one.instruction_count
 
     def test_code_generator_wrapper(self, fig2_dag, arch1):
-        generator = CodeGenerator(arch1)
-        solution = generator.compile_dag(fig2_dag)
+        from repro.ir import BasicBlock
+
+        solution, optimal = solve_block(BasicBlock("entry", fig2_dag), arch1)
         solution.validate()
+        assert optimal is None
 
     def test_compile_block_pins_branch(self, arch1):
         from repro.ir import BasicBlock, Branch
@@ -227,7 +229,7 @@ class TestEngine:
         )
         block.dag.store("d", condition)
         block.set_terminator(Branch(condition, "t", "f"))
-        solution = CodeGenerator(arch1).compile_block(block)
+        solution, _ = solve_block(block, arch1)
         assert solution.graph.condition_read is not None
 
     def test_describe_lists_every_cycle(self, fig2_dag, arch1):

@@ -55,17 +55,17 @@ class TestJournal:
     def test_scoping_and_counts(self):
         journal = DecisionJournal()
         journal.begin_block("bb0")
-        journal.emit("memo.miss", dag="d", machine="m", pin=None)
+        journal.emit("assignment.select", selected=1)
         journal.begin_attempt(0, "forward")
         journal.emit("cover.step", cycle=0)
         journal.end_attempt()
         journal.end_block()
-        journal.emit("memo.hit", dag="d", machine="m", pin=None)
+        journal.emit("block.solution", assignment=0)
         assert len(journal) == 3
         assert journal.by_kind() == {
+            "assignment.select": 1,
+            "block.solution": 1,
             "cover.step": 1,
-            "memo.hit": 1,
-            "memo.miss": 1,
         }
         step = journal.entries[1]
         assert step["block"] == "bb0"
@@ -249,12 +249,18 @@ class TestRenderers:
         diff = diff_reports(report, again, "x", "y")
         assert diff["identical"]
         assert "identical" in render_diff_text(diff)
-        other, _ = _explain(FIR4, example_architecture(4))
-        diff = diff_reports(report, other, "fig6", "arch1")
+        # fir4 makes the same decisions on fig6 and on arch1.
+        arch1, _ = _explain(FIR4, example_architecture(4))
+        assert diff_reports(report, arch1, "fig6", "arch1")["identical"]
+        arch2, _ = _explain(FIR4, BUILTIN_MACHINES["arch2"]())
+        diff = diff_reports(arch1, arch2, "arch1", "arch2")
         assert not diff["identical"]
         diverged = [b for b in diff["blocks"] if b["status"] == "diverged"]
         assert diverged
-        assert diverged[0]["divergence"]["index"] >= 0
+        divergence = diverged[0]["divergence"]
+        assert divergence["arch1"]["kind"] == "assignment.bind"
+        assert divergence["arch2"]["kind"] == "assignment.bind"
+        assert diverged[0]["quality_delta"]["cycles"] == [49, 56]
         assert "DIVERGED" in render_diff_text(diff)
 
 

@@ -9,7 +9,7 @@ and the simulator models the delayed write-back.
 import pytest
 
 from repro.asmgen import compile_dag, compile_function
-from repro.covering import CodeGenerator, generate_block_solution
+from repro.covering import generate_block_solution, solve_block
 from repro.ir import (
     BasicBlock,
     BlockDAG,
@@ -92,7 +92,7 @@ class TestScheduling:
         product = block.dag.operation(Opcode.MUL, (x, y))
         block.dag.store("m", product)
         block.set_terminator(Branch(product, "then", "else"))
-        solution = CodeGenerator(pipe).compile_block(block)
+        solution, _ = solve_block(block, pipe)
         pinned = next(iter(solution.graph.pinned))
         assert (
             solution.cycle_of(pinned) + solution.graph.latency(pinned)

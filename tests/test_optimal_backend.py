@@ -5,11 +5,15 @@ import pytest
 
 from repro.asmgen.emit import emit_block
 from repro.asmgen.layout import DataLayout
-from repro.asmgen.program import compile_function
-from repro.covering import HeuristicConfig, generate_block_solution
-from repro.covering.engine import CodeGenerator
+from repro.asmgen.program import compile_dag, compile_function
+from repro.covering import (
+    HeuristicConfig,
+    generate_block_solution,
+    solve_block,
+)
 from repro.errors import CoverageError
 from repro.frontend import compile_source
+from repro.ir import BasicBlock
 from repro.isdl import example_architecture
 from repro.isdl.builtin_machines import BUILTIN_MACHINES
 from repro.artifacts import validate
@@ -22,7 +26,8 @@ from repro.optimal import (
     summarize_optimal_bench,
 )
 from repro.regalloc import allocate_registers
-from repro.verify import verify_block
+from repro.serve import BlockCache
+from repro.verify import verify_block, verify_solution
 
 from conftest import build_fig2_dag, build_wide_dag
 
@@ -125,14 +130,17 @@ class TestOptimalSolve:
 class TestEnginePlumbing:
     def test_unknown_backend_rejected(self, arch1):
         with pytest.raises(ValueError):
-            CodeGenerator(arch1, backend="psychic")
+            solve_block(
+                BasicBlock("entry", build_fig2_dag()), arch1, backend="psychic"
+            )
 
     def test_generator_optimal_backend(self, arch1):
-        generator = CodeGenerator(arch1, backend="optimal", validate=True)
-        solution = generator.compile_dag(build_wide_dag(4))
+        solution, optimal = solve_block(
+            BasicBlock("entry", build_wide_dag(4)), arch1, backend="optimal"
+        )
         solution.validate()
-        assert generator.last_optimal is not None
-        assert isinstance(generator.last_optimal, OptimalSolveResult)
+        assert verify_solution(solution).ok
+        assert isinstance(optimal, OptimalSolveResult)
         heuristic = generate_block_solution(
             build_wide_dag(4), arch1, HeuristicConfig.default()
         )
@@ -153,6 +161,34 @@ class TestEnginePlumbing:
         compiled = compile_function(function, arch1)
         for block in compiled.blocks.values():
             assert block.optimal is None
+
+    def test_optimal_backend_stays_off_the_cache(self, arch1, tmp_path):
+        function = compile_source("out = (a + b) - (c * d);")
+        cache_dir = str(tmp_path / "cache")
+        compile_function(
+            function, arch1, backend="optimal", cache_dir=cache_dir
+        )
+        assert len(BlockCache(cache_dir)) == 0
+
+    def test_cached_heuristic_entry_does_not_shadow_optimal(
+        self, arch1, tmp_path
+    ):
+        # Ex4 on arch1 is a measured heuristic gap: the cached heuristic
+        # schedule is longer than the proven optimum.
+        from repro.eval.workloads import WORKLOADS
+
+        build = next(w for w in WORKLOADS if w.name == "Ex4").build
+        cache_dir = str(tmp_path / "cache")
+        heuristic = compile_dag(build(), arch1, cache_dir=cache_dir)
+        assert len(BlockCache(cache_dir)) == 1
+        optimal = compile_dag(
+            build(), arch1, backend="optimal", cache_dir=cache_dir
+        )
+        block = optimal.blocks["entry"]
+        assert block.optimal.proven
+        assert block.body_size == block.optimal.cost
+        assert block.body_size < heuristic.blocks["entry"].body_size
+        assert len(BlockCache(cache_dir)) == 1
 
     def test_optimal_code_still_correct(self, arch1):
         from repro.ir.interp import interpret_function

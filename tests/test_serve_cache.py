@@ -8,27 +8,17 @@ Covers the cache-layer satellites of the serving issue:
   and the warm result passes the independent translation validator
   (the property/differential harness);
 - LRU eviction respects both the entry and byte budgets and a *touched*
-  entry survives where an untouched one is evicted;
-- the in-memory memo of the covering engine is true LRU: a hot key
-  outlives a stream of cold inserts longer than the capacity
-  (regression for the old FIFO ``memo.pop(next(iter(memo)))`` behavior
-  that evicted hot entries first).
+  entry survives where an untouched one is evicted.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.covering import engine as engine_module
 from repro.covering.config import HeuristicConfig
-from repro.covering.engine import (
-    CodeGenerator,
-    generate_block_solution,
-    machine_fingerprint,
-)
+from repro.covering.engine import generate_block_solution, machine_fingerprint
 from repro.frontend import compile_source
 from repro.ir import BlockDAG, Opcode
-from repro.isdl import example_architecture
 from repro.serve import BlockCache
 from repro.serve.service import CACHE_COUNTERS
 from repro.telemetry import TelemetrySession, use_session
@@ -180,7 +170,7 @@ def test_disk_hit_bit_identical_and_validator_clean(
     assert cold_session.counter("serve.cache_hits") == 0
 
     warm_session = TelemetrySession()
-    with use_session(warm_session):  # fresh generator: memo empty, disk hits
+    with use_session(warm_session):  # every block a disk hit
         warm = compile_function(function, machine, config, cache_dir=cache_dir)
     assert warm_session.counter("serve.cache_hits") > 0
     assert warm_session.counter("serve.cache_misses") == 0
@@ -205,54 +195,3 @@ def repo_root():
     import pathlib
 
     return pathlib.Path(__file__).parent.parent
-
-
-class TestMemoLRU:
-    """The in-memory memo must be LRU, not FIFO (regression)."""
-
-    def test_hot_key_outlives_cold_stream(self, monkeypatch):
-        monkeypatch.setattr(engine_module, "_MEMO_CAPACITY", 4)
-        machine = example_architecture(4)
-        memo = {}
-        hot = build_fig2_dag()
-        generate_block_solution(hot, machine, memo=memo)
-        session = TelemetrySession()
-        with use_session(session):
-            # Twice the capacity in cold inserts, touching the hot key
-            # after each one.  Under the old FIFO eviction the hot entry
-            # fell out as soon as capacity filled; under LRU every
-            # re-probe refreshes it.
-            for seed in range(8):
-                generate_block_solution(chain_dag(2, seed), machine, memo=memo)
-                generate_block_solution(hot, machine, memo=memo)
-        counters = session.report().to_dict()["counters"]
-        assert counters["cover.memo_hits"] == 8
-        assert counters["cover.memo_misses"] == 8
-        assert len(memo) <= 4
-        key = cache_key(hot, machine)
-        assert key in memo
-        # And the hot entry is the most recently used of the survivors.
-        assert list(memo)[-1] == key
-
-    def test_capacity_still_enforced(self, monkeypatch):
-        monkeypatch.setattr(engine_module, "_MEMO_CAPACITY", 3)
-        machine = example_architecture(4)
-        memo = {}
-        for seed in range(6):
-            generate_block_solution(chain_dag(2, seed), machine, memo=memo)
-        assert len(memo) == 3
-
-    def test_disk_hit_warms_memo(self, tmp_path):
-        machine = example_architecture(4)
-        cache_dir = str(tmp_path / "cache")
-        CodeGenerator(machine, cache_dir=cache_dir).compile_dag(
-            build_fig2_dag()
-        )
-        generator = CodeGenerator(machine, cache_dir=cache_dir)
-        session = TelemetrySession()
-        with use_session(session):
-            generator.compile_dag(build_fig2_dag())  # disk hit, memo fill
-            generator.compile_dag(build_fig2_dag())  # memo hit
-        counters = session.report().to_dict()["counters"]
-        assert counters["serve.cache_hits"] == 1
-        assert counters["cover.memo_hits"] == 1
