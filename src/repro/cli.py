@@ -848,6 +848,10 @@ def _cmd_explore(args) -> int:
     )
     from repro.obs.export import snapshot_export
 
+    if args.population < 1:
+        raise ReproError(
+            f"--population {args.population}: need at least 1 candidate"
+        )
     machines_dir = args.machines_dir
     if machines_dir is not None and not os.path.isdir(machines_dir):
         raise ReproError(f"--machines-dir {machines_dir!r}: no such directory")

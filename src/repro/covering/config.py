@@ -33,7 +33,9 @@ class HeuristicConfig:
         lookahead: break covering ties with the estimated number of
             cliques still required (IV-D).  Off = first-found wins.
         branch_and_bound: abandon covering an assignment as soon as its
-            instruction count reaches the best complete solution so far.
+            instruction count so far, plus a floor on the cycles its
+            uncovered tasks still need, reaches the best complete
+            solution so far.
         max_spills: hard cap on spill insertions per assignment, to turn
             pathological register starvation into an error instead of an
             unbounded loop.

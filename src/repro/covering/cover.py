@@ -35,7 +35,7 @@ from repro.covering.cliques import (
 from repro.covering.config import HeuristicConfig
 from repro.covering.parallelism import parallelism_masks
 from repro.covering.pressure import PressureTracker
-from repro.covering.taskgraph import TaskGraph
+from repro.covering.taskgraph import TaskGraph, TaskKind
 from repro.telemetry.session import current as _telemetry
 from repro.utils.bitset import bits, iter_bits, mask_of, popcount
 
@@ -426,7 +426,9 @@ def cover_assignment(
         graph: the assignment's task graph; mutated if spills are needed.
         config: heuristic settings.
         bound: branch-and-bound cut-off — return ``None`` as soon as the
-            schedule reaches this length (a better solution is known).
+            schedule so far plus a lower bound on the cycles its
+            uncovered tasks still need (:class:`_RemainingWork`) reaches
+            this length (a solution at least as good is known).
         stuck_strategy: how a register-starved state picks its focus:
             ``"consumer"`` drives the blocked consumer nearest to ready
             (default); ``"arrival"`` drives the ready-but-infeasible
@@ -646,6 +648,65 @@ class _ReadyState:
                     self._arm(graph, consumer, issue_cycle, now)
 
 
+class _RemainingWork:
+    """A floor on the cycles the uncovered tasks still need: the busiest
+    functional unit's uncovered OP tasks, or ⌈uncovered XFER tasks / bus
+    count⌉, whichever is larger.  Kept current as cliques commit and
+    recounted after each spill.
+
+    It is a sound branch-and-bound floor — no later schedule of the same
+    cover finishes in fewer cycles than ``len(schedule)`` plus it, spills
+    included:
+
+    - A cycle's tasks form one clique, and clique members never share a
+      resource, so a unit issues at most one OP task per cycle and an
+      XFER holds its bus for one cycle.
+    - OP tasks are fixed by the assignment: ``TaskGraph.spill_delivery``
+      adds and removes only XFER tasks.
+    - A spill does not lower the XFER count.  It adds at least one
+      spill hop, rewrites store and earlier-spill consumers in place,
+      and replaces each removed pending transfer with a reload into the
+      same storage, so the count could fall only if a delivery's
+      pending transfers outnumbered their distinct destinations by two
+      or more (e.g. three into one storage sharing one reload).  The
+      soundness test in ``tests/test_cover_floor.py`` checks that no
+      spill of its sweep (corpus, examples × machines, paper and
+      hot-path blocks) lowers the count.
+    """
+
+    def __init__(self, graph: TaskGraph, uncovered: Set[int]) -> None:
+        # A machine without buses has no XFER tasks to divide.
+        self.buses = len(graph.machine.buses) or 1
+        self.recount(graph, uncovered)
+
+    def recount(self, graph: TaskGraph, uncovered: Set[int]) -> None:
+        """Count ``uncovered`` from scratch."""
+        #: uncovered OP tasks per functional unit
+        self.ops: Dict[str, int] = {}
+        self.xfers = 0
+        for task_id in uncovered:
+            task = graph.tasks[task_id]
+            if task.kind is TaskKind.OP:
+                self.ops[task.resource] = self.ops.get(task.resource, 0) + 1
+            else:
+                self.xfers += 1
+
+    def commit(self, graph: TaskGraph, members: List[int]) -> None:
+        """Drop a committed clique's members from the counts."""
+        for task_id in members:
+            task = graph.tasks[task_id]
+            if task.kind is TaskKind.OP:
+                self.ops[task.resource] -= 1
+            else:
+                self.xfers -= 1
+
+    def cycles(self) -> int:
+        """The fewest cycles the uncovered tasks can still take."""
+        return max(
+            max(self.ops.values(), default=0), -(-self.xfers // self.buses)
+        )
+
+
 def _cover_loop_masks(
     graph: TaskGraph,
     config: HeuristicConfig,
@@ -655,7 +716,11 @@ def _cover_loop_masks(
 ) -> Optional[CoverResult]:
     """The covering loop, with cliques and ready/admissible sets as
     ints, incremental ready maintenance, and incremental post-spill
-    clique rebuilds."""
+    clique rebuilds.
+
+    Under a ``bound`` it gives up as soon as the schedule so far plus
+    the :class:`_RemainingWork` floor reaches the bound: before any
+    clique is built, and at the top of every cycle."""
     jr = _telemetry().journal
     tracker = PressureTracker(graph)
     covered: Set[int] = set()
@@ -663,6 +728,9 @@ def _cover_loop_masks(
     issue_cycle: Dict[int, int] = {}
     uncovered = set(graph.task_ids())
     uncovered_mask = mask_of(uncovered)
+    remaining = _RemainingWork(graph, uncovered)
+    if bound is not None and remaining.cycles() >= bound:
+        return None
     cache = _MaskCliqueCache()
     cache.build(graph, sorted(uncovered), config)
     state = _ReadyState(graph, covered, issue_cycle, 0)
@@ -673,7 +741,7 @@ def _cover_loop_masks(
 
     while uncovered_mask:
         stats.iterations += 1
-        if bound is not None and len(schedule) >= bound:
+        if bound is not None and len(schedule) + remaining.cycles() >= bound:
             return None
         now = len(schedule)
         state.advance(now)
@@ -751,6 +819,7 @@ def _cover_loop_masks(
                     via_subset,
                 )
             tracker.commit(chosen_ids)
+            remaining.commit(graph, chosen_ids)
             covered.update(chosen_ids)
             uncovered.difference_update(chosen_ids)
             uncovered_mask &= ~chosen
@@ -787,6 +856,7 @@ def _cover_loop_masks(
         graph.spill_delivery(victim, covered, ready=ready)
         uncovered = set(graph.task_ids()) - covered
         uncovered_mask = mask_of(uncovered)
+        remaining.recount(graph, uncovered)
         tracker.rebuild(schedule)
         cache.rebuild(graph, sorted(uncovered), config)
         state.reset(graph, covered, issue_cycle, now)

@@ -279,6 +279,11 @@ def cover_loop(
     #: issue cycle of each covered task (for multi-cycle latencies).
     issue_cycle: Dict[int, int] = {}
     uncovered = set(graph.task_ids())
+    # The production loop's branch-and-bound floor, at the same two
+    # points: before any clique is built and at the top of every cycle.
+    remaining = cover._RemainingWork(graph, uncovered)
+    if bound is not None and remaining.cycles() >= bound:
+        return None
     found = build_cliques(graph, sorted(uncovered), config)
     spills_done = 0
     focus: Optional[int] = None
@@ -286,7 +291,7 @@ def cover_loop(
 
     while uncovered:
         stats.iterations += 1
-        if bound is not None and len(schedule) >= bound:
+        if bound is not None and len(schedule) + remaining.cycles() >= bound:
             return None
         now = len(schedule)
         ready = {
@@ -372,6 +377,7 @@ def cover_loop(
                     via_subset,
                 )
             tracker.commit(chosen)
+            remaining.commit(graph, sorted(chosen))
             covered |= chosen
             uncovered -= chosen
             for task_id in chosen:
@@ -402,6 +408,7 @@ def cover_loop(
             )
         graph.spill_delivery(victim, covered, ready=ready)
         uncovered = set(graph.task_ids()) - covered
+        remaining.recount(graph, uncovered)
         tracker.rebuild(schedule)
         found = build_cliques(graph, sorted(uncovered), config)
 

@@ -391,8 +391,16 @@ class TestInputErrors:
             ["compile", "{missing}", "-m", "arch1"],
             ["compile", "{program}", "-m", "arch1:x"],
             ["run", "{program}", "-m", "arch1", "--set", "a=x"],
+            ["explore", "--population", "0"],
+            ["explore", "--population", "-3"],
         ],
-        ids=["missing-source", "register-suffix", "set-value"],
+        ids=[
+            "missing-source",
+            "register-suffix",
+            "set-value",
+            "explore-empty-population",
+            "explore-negative-population",
+        ],
     )
     def test_bad_input_is_a_one_line_error(
         self, argv, program_file, tmp_path, capsys

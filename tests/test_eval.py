@@ -129,6 +129,11 @@ class TestSplitNodeDagColumn:
 class TestCodeSize:
     """Code size on the example architecture (4 registers per file)."""
 
+    #: (cover.iterations, cliques.generation_calls) per block.  The
+    #: remaining-work floor stops the pruned covers early; on Ex1 and
+    #: Ex2 all six stop before any clique is built.
+    FLOOR_COUNTS = {"Ex1": (16, 2), "Ex2": (23, 2), "Ex3": (69, 8)}
+
     @pytest.mark.parametrize(
         "name, instructions", [("Ex1", 8), ("Ex2", 11), ("Ex3", 10)]
     )
@@ -140,8 +145,13 @@ class TestCodeSize:
             )
         assert compiled.total_instructions == instructions
         assert compiled.total_spills == 0
-        # The covering search ran rather than some shortcut.
-        assert session.counter("cover.iterations") > 0
+        # One cover per explored assignment, six of the eight pruned
+        # against the incumbent.
+        assert session.counter("cover.calls") == 8
+        assert session.counter("cover.bound_prunes") == 6
+        iterations, generations = self.FLOOR_COUNTS[name]
+        assert session.counter("cover.iterations") == iterations
+        assert session.counter("cliques.generation_calls") == generations
         assert session.counter("cliques.enumerated") > 0
 
 
