@@ -167,9 +167,6 @@ def generate_block_solution(
                 )
                 best_index = index
         if best is not None:
-            if tm.enabled:
-                xfer = sn.transfer_stats()
-                tm.count("sndag.transfer_nodes_avoided", xfer["avoided"])
             tm.count("covering.blocks", 1)
             tm.count("covering.spills", best.spill_count)
             tm.count("covering.reloads", best.reload_count)

@@ -324,10 +324,7 @@ class TaskGraph:
         exempts the final hop — store builders always emit it to carry
         the store symbol, delivered or not.  Charging skipped hops used
         to bias the choice away from paths that were actually cheaper.
-
-        When ``value_id`` is given, the demanded movement is also
-        reported to the Split-Node DAG, which materialises its canonical
-        transfer chain.
+        ``value_id`` names the moved value for the ``_delivered`` lookups.
         """
         paths = self.sn.transfer_db.paths(source, target)
 
@@ -366,8 +363,6 @@ class TaskGraph:
                         key=lambda a: (a["load"], a["buses"]),
                     ),
                 )
-        if value_id is not None:
-            self.sn.materialize_transfer(value_id, source, target)
         return chosen
 
     def _build_store(self, store_id: int) -> None:
@@ -395,7 +390,7 @@ class TaskGraph:
                         staging = rf
                         break
                 read = self._ensure_delivery(value_id, staging)
-                path = self._choose_path(staging, dm, value_id=value_id)
+                path = self._choose_path(staging, dm)
                 current = read
                 for hop in path[:-1]:
                     task_id = self._new_task(
@@ -643,7 +638,7 @@ class TaskGraph:
         # The spill itself: bank -> memory (first hop of a minimal path;
         # on multi-hop architectures the spill slot must be bus-adjacent
         # to the bank, so we spill via the full chain).
-        spill_path = self._choose_path(bank, dm, value_id=value_id)
+        spill_path = self._choose_path(bank, dm)
         current = ReadRef(delivery_id, bank, value_id)
         spill_ids: List[int] = []
         for hop in spill_path:
@@ -670,7 +665,7 @@ class TaskGraph:
         def reload_into(target: str) -> ReadRef:
             if target in reload_for_storage:
                 return reload_for_storage[target]
-            path = self._choose_path(dm, target, value_id=value_id)
+            path = self._choose_path(dm, target)
             ref = memory_read
             for hop in path:
                 task_id = self._new_task(

@@ -32,7 +32,6 @@ DECISION_KINDS = frozenset(
         "assignment.beam",  # frontier truncated to the beam limit
         "assignment.select",  # complete assignments ranked and selected
         "transfer.path",  # transfer path chosen among minimal paths (IV-B)
-        "sndag.materialize",  # lazy transfer chain created on demand
         "cover.attempt",  # one assignment entered detailed covering
         "cover.outcome",  # how that covering ended
         "cover.step",  # clique selected for one cycle, with losers (IV-D)

@@ -138,12 +138,6 @@ def _describe_entry(entry: Dict[str, Any]) -> str:
             f"{data['chosen']} (load {data['load']}) over "
             f"{len(data['alternatives'])} path(s)"
         )
-    if kind == "sndag.materialize":
-        return (
-            f"n{data['value']} {data['source']} -> {data['destination']}: "
-            f"materialized {data['created']} transfer node(s) via "
-            f"{data['buses']}, folded {data['folded']} equivalent path(s)"
-        )
     if kind == "clique.split":
         return (
             f"split {data['members']} on {data['constraint']} "

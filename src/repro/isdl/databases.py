@@ -89,11 +89,7 @@ class TransferDatabase:
     Reachability and hop counts are answered by a per-source BFS distance
     table (:meth:`has_path`, :meth:`distance`) without enumerating paths,
     and unreachable pairs are cached as negative results — neither query
-    pays path materialisation or exception overhead on repeat.  The lazy
-    Split-Node DAG builder additionally asks for one *canonical
-    representative* per pair (:meth:`canonical_path`): all minimal paths
-    cost the same number of bus crossings, so equivalent-cost
-    alternatives fold into the lexicographically smallest route.
+    pays path enumeration or exception overhead on repeat.
     """
 
     def __init__(self, machine: Machine, max_hops: int = 4):
@@ -103,7 +99,6 @@ class TransferDatabase:
         #: source -> {reachable storage -> hops}; doubles as the negative
         #: cache (absence within the bound = no path, no re-search).
         self._distances: Dict[str, Dict[str, int]] = {}
-        self._canonical: Dict[Tuple[str, str], TransferPath] = {}
         self._neighbours: Dict[str, List[TransferHop]] = {}
         for storage in machine.storage_names():
             hops: List[TransferHop] = []
@@ -177,30 +172,6 @@ class TransferDatabase:
         if hops is None:
             raise NoTransferPathError(source, destination)
         return hops
-
-    def canonical_path(self, source: str, destination: str) -> TransferPath:
-        """The canonical representative of all minimal paths for a pair.
-
-        Every minimal path between two storages crosses the same number
-        of buses, so the alternatives are equivalent in cost; the
-        representative is the lexicographically smallest by (storage
-        route, bus names).  The lazy Split-Node DAG materialises exactly
-        this path per demanded transfer instead of one node chain per
-        alternative.
-        """
-        key = (source, destination)
-        path = self._canonical.get(key)
-        if path is None:
-            path = min(
-                self.paths(source, destination),
-                key=lambda p: tuple((h.source, h.destination, h.bus) for h in p),
-            )
-            self._canonical[key] = path
-        return path
-
-    def path_count(self, source: str, destination: str) -> int:
-        """How many equivalent-cost minimal paths the pair offers."""
-        return len(self.paths(source, destination))
 
     def _search(self, source: str, destination: str) -> List[TransferPath]:
         # BFS level by level; collect every path that first reaches the

@@ -12,9 +12,10 @@ from the cache key's inputs.  The codec exploits the split:
   schedule, and the solution's headline metrics.
 - **Rebuilt on load**: the Split-Node DAG.  ``build_split_node_dag`` is
   a pure function of ``(dag, machine)``, both of which are pinned by the
-  cache key (DAG fingerprint + machine fingerprint).  Decoded solutions
-  only consult the DAG's alternatives (the validator's covering check),
-  never its TRANSFER nodes, which are materialised on demand anyway.
+  cache key (DAG fingerprint + machine fingerprint), and covering never
+  changes the DAG it built, so the rebuilt one equals the fresh
+  compile's.  Decoded solutions consult only its alternatives (the
+  validator's covering check).
 
 Deserialization therefore needs the original ``BlockDAG`` and
 ``Machine``; the cache hands them in from the compile request that

@@ -3,8 +3,10 @@
 The Split-Node DAG makes every implementation choice explicit: each
 operation of a basic-block DAG becomes a *split node* whose children are
 *alternative* nodes — one per (functional unit, machine op) that can
-execute it, including complex-instruction matches — and *data transfer
-nodes* appear on every inter-unit / memory path a value might take.
+execute it, including complex-instruction matches.  The paper also puts
+a *data transfer node* on every inter-unit / memory path a value might
+take; those are counted for the paper's node-count column, not built,
+and covering inserts the transfers one assignment needs.
 """
 
 from repro.sndag.nodes import SNKind, SNNode, Alternative

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 
@@ -15,22 +15,22 @@ class SNKind(enum.Enum):
         data memory at block entry.
     SPLIT
         Corresponds to one operation (or store) node of the original DAG;
-        its children are the alternatives.
+        its children are the alternatives (for a store, the stored
+        value's SPLIT or VALUE node).
     ALTERNATIVE
         One concrete way of performing the split node's operation: a
         machine op on a functional unit (possibly a complex instruction
-        covering several original operations), or — for store split
-        nodes — a transfer of the stored value back to data memory.
-    TRANSFER
-        A data movement across one bus hop, inserted on a path between a
-        split node and an operation descendant (or between memory and a
-        consumer).
+        covering several original operations).
+
+    The paper's transfer nodes are not built: the DAG only counts them
+    (:meth:`~repro.sndag.build.SplitNodeDAG.eager_transfer_node_count`),
+    and the covering task graph inserts the transfers one assignment
+    needs.
     """
 
     VALUE = "value"
     SPLIT = "split"
     ALTERNATIVE = "alternative"
-    TRANSFER = "transfer"
 
 
 @dataclass(frozen=True)
@@ -65,21 +65,17 @@ class SNNode:
         node_id: dense id within the Split-Node DAG.
         kind: the node kind (see :class:`SNKind`).
         original_id: the original-DAG node this derives from — the
-            operation for SPLIT/ALTERNATIVE, the leaf for VALUE, and the
-            node whose value is being moved for TRANSFER.
+            operation or store for SPLIT/ALTERNATIVE, the leaf for VALUE.
         alternative: payload for ALTERNATIVE nodes.
-        bus, source, destination: payload for TRANSFER nodes.
         children: structural descendants (alternatives under a split,
-            operand splits/values/transfers under an alternative).
+            operand splits/values under an alternative, the stored
+            value's split/value under a store split).
     """
 
     node_id: int
     kind: SNKind
     original_id: int
     alternative: Optional[Alternative] = None
-    bus: Optional[str] = None
-    source: Optional[str] = None
-    destination: Optional[str] = None
     children: Tuple[int, ...] = ()
 
     def describe(self) -> str:
@@ -88,8 +84,6 @@ class SNNode:
             return f"value(n{self.original_id})"
         if self.kind is SNKind.SPLIT:
             return f"split(n{self.original_id})"
-        if self.kind is SNKind.ALTERNATIVE:
-            alt = self.alternative
-            tag = "+".join(f"n{c}" for c in alt.covers)
-            return f"{alt.op_name}@{alt.unit}[{tag}]"
-        return f"xfer(n{self.original_id}: {self.source}->{self.destination} via {self.bus})"
+        alt = self.alternative
+        tag = "+".join(f"n{c}" for c in alt.covers)
+        return f"{alt.op_name}@{alt.unit}[{tag}]"

@@ -23,7 +23,6 @@ _SHAPES = {
     SNKind.VALUE: "plaintext",
     SNKind.SPLIT: "diamond",
     SNKind.ALTERNATIVE: "ellipse",
-    SNKind.TRANSFER: "box",
 }
 
 

@@ -456,3 +456,53 @@ class TestMalformedArtifacts:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert str(path) in err
+
+
+class TestUnwritableOutput:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compile", "{program}", "-m", "arch1", "--asm", "{out}"],
+            ["compile", "{program}", "-m", "arch1", "--bin", "{out}"],
+            ["compile", "{program}", "-m", "arch1", "--trace-out", "{out}"],
+            ["compile", "{program}", "-m", "arch1", "--cache-dir", "{out}"],
+            ["run", "{program}", "-m", "arch1", "--trace-out", "{out}"],
+            ["profile", "{program}", "-m", "arch1", "--trace-out", "{out}"],
+            ["batch", "{program}", "-m", "arch1", "--json", "{out}"],
+            ["batch", "{program}", "-m", "arch1", "--metrics-out", "{out}"],
+            ["gap", "--workload", "Ex1", "--json", "{out}"],
+            ["explore", "--population", "1", "--json", "{out}"],
+            ["explore", "--population", "1", "--json", "-",
+             "--metrics-out", "{out}"],
+            ["explain", "{program}", "-m", "arch1", "--html", "{out}"],
+            ["serve", "--metrics-out", "{out}"],
+            ["serve", "--events-out", "{out}"],
+            ["serve", "--flight-dir", "{out}"],
+        ],
+        ids=lambda argv: "-".join(
+            [argv[0], next(a for a in argv[::-1] if a.startswith("--"))[2:]]
+        ),
+    )
+    def test_unwritable_output_is_a_one_line_error(
+        self, argv, program_file, tmp_path, monkeypatch, capsys
+    ):
+        import io
+
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = str(blocker / "out")
+        monkeypatch.setattr(
+            "sys.stdin",
+            io.StringIO(
+                '{"job_id": "j", "source": "y = a + b;", "machine": "arch1"}\n'
+            ),
+        )
+        argv = [arg.format(program=program_file, out=out) for arg in argv]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.endswith("\n") and "Traceback" not in err
+        assert err.splitlines()[-1].startswith("error: ")
+        assert err.count("error: ") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "file", "prog.minic"
+        ]

@@ -1,9 +1,11 @@
-"""The counter glossary in docs/observability.md is complete.
+"""The counter glossary in docs/observability.md matches the code.
 
 Every counter and histogram a real compilation (plus a simulated run)
 can emit must appear in the glossary table — matched by name or by an
 fnmatch pattern like ``sim.unit.*`` — so the documentation cannot
-silently drift as instrumentation is added.  The emitting workload is
+silently drift as instrumentation is added.  The other way round, a
+documented counter of a family that run emits must still be emitted, so
+a deleted counter cannot linger in the docs.  The emitting workload is
 the frozen fuzz corpus: it exercises spills, constraint splits, clique
 enumeration, and the validator, which is as close to "every counter
 the pipeline has" as a deterministic test can get.
@@ -13,6 +15,7 @@ from __future__ import annotations
 
 import re
 from fnmatch import fnmatchcase
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -29,10 +32,10 @@ GLOSSARY = REPO / "docs" / "observability.md"
 CORPUS = REPO / "tests" / "corpus"
 
 
-def glossary_patterns():
-    """Counter names/patterns from the markdown table's first column."""
+def _first_column_names(text):
+    """Backquoted names in the first column of the markdown tables."""
     patterns = []
-    for line in GLOSSARY.read_text().splitlines():
+    for line in text.splitlines():
         if not line.startswith("| `"):
             continue
         first_cell = line.split("|")[1]
@@ -40,6 +43,20 @@ def glossary_patterns():
     return patterns
 
 
+def glossary_patterns():
+    """Counter names/patterns from every table's first column."""
+    return _first_column_names(GLOSSARY.read_text())
+
+
+def counter_glossary_names():
+    """Names/patterns of the "Counter glossary" table alone: not the
+    ``obs.*`` table after it, the decision kinds or the artifact
+    stamps."""
+    section = GLOSSARY.read_text().split("\n## Counter glossary\n", 1)[1]
+    return _first_column_names(section.split("\n#", 1)[0])
+
+
+@lru_cache(maxsize=None)
 def emitted_names():
     """Counter + histogram names from compiling the whole corpus and
     simulating one program."""
@@ -61,7 +78,7 @@ def emitted_names():
                 continue  # coverage rejections still emitted counters
         assert compiled is not None, "no corpus case compiled"
         profile_run(compiled.program, compiled.machine, {})
-    return sorted(set(session.counters) | set(session.histograms))
+    return tuple(sorted(set(session.counters) | set(session.histograms)))
 
 
 def test_glossary_table_parses():
@@ -81,6 +98,26 @@ def test_every_emitted_counter_is_documented():
     assert not missing, (
         "counters emitted but absent from the docs/observability.md "
         f"glossary: {missing}"
+    )
+
+
+def test_every_documented_counter_is_emitted():
+    """A glossary row of an emitted family names a counter that exists.
+
+    Families the corpus run never reaches (``serve``, ``optimal``,
+    ``explore``, ``assembler``) are skipped: their absence says nothing.
+    """
+    emitted = emitted_names()
+    families = {name.split(".", 1)[0] for name in emitted}
+    stale = [
+        pattern
+        for pattern in counter_glossary_names()
+        if pattern.split(".", 1)[0] in families
+        and not any(fnmatchcase(name, pattern) for name in emitted)
+    ]
+    assert not stale, (
+        "docs/observability.md glossary rows no compilation emits: "
+        f"{stale}"
     )
 
 

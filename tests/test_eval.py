@@ -112,8 +112,8 @@ class TestRunExperiment:
 
 class TestSplitNodeDagColumn:
     """The paper's "SN-DAG #Nodes" column: the node counts of the eager
-    construction, which the lazily built DAG reports through
-    ``paper_node_count``."""
+    construction, which the built DAG reports through
+    ``paper_node_count`` without building the transfer nodes."""
 
     def test_table1_counts(self):
         rows = run_table1(with_optimal=False)

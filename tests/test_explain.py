@@ -315,7 +315,6 @@ class TestKindsRegistry:
         import repro.covering.cover
         import repro.covering.engine
         import repro.covering.taskgraph
-        import repro.sndag.build
         import inspect
 
         emitted = set()
@@ -325,13 +324,11 @@ class TestKindsRegistry:
             repro.covering.cover,
             repro.covering.engine,
             repro.covering.taskgraph,
-            repro.sndag.build,
         ):
             source = inspect.getsource(module)
             for kind in DECISION_KINDS:
                 if f'"{kind}"' in source:
                     emitted.add(kind)
         assert emitted <= DECISION_KINDS
-        # Everything except the two journal-capture bookends comes from
-        # the covering layer plus the lazy Split-Node DAG materializer.
+        # Every registered kind comes from the covering layer.
         assert DECISION_KINDS - emitted == set()

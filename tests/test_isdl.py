@@ -356,22 +356,6 @@ class TestTransferDatabase:
         # The cached negative entry stays an entry, not a re-search.
         assert db._paths[("DM", "R2")] == []
 
-    def test_canonical_path_is_smallest_minimal_path(self, arch_dual):
-        db = TransferDatabase(arch_dual)
-        paths = db.paths("DM", "RF3")
-        assert db.path_count("DM", "RF3") == len(paths) == 2
-        canonical = db.canonical_path("DM", "RF3")
-        assert canonical in paths
-        assert canonical == min(
-            paths,
-            key=lambda p: tuple((h.source, h.destination, h.bus) for h in p),
-        )
-        # Stable across calls (cached).
-        assert db.canonical_path("DM", "RF3") is canonical
-
-    def test_canonical_path_same_storage(self, arch1):
-        assert TransferDatabase(arch1).canonical_path("RF1", "RF1") == ()
-
 
 class TestBuiltinMachines:
     def test_fig3_architecture_op_sets(self, arch1):

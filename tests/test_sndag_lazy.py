@@ -1,12 +1,13 @@
-"""Lazy transfer materialisation: unit tests and the differential suite.
+"""Counted transfer nodes: unit tests and the differential suite.
 
-The Split-Node DAG materialises TRANSFER nodes on demand instead of the
-paper's eager up-front expansion.  The eager numbers it no longer builds
-are pinned here (:meth:`SplitNodeDAG.eager_transfer_node_count` must
-keep reproducing them), as are the transfer nodes a compile of each
-paper workload materialises, and the sweep at the bottom checks production
-covering against the test-only reference oracle on every example
-program x machine file, and on the frozen fuzz corpus.
+The Split-Node DAG counts the paper's TRANSFER nodes instead of building
+them, and covering never changes it.  The eager numbers it no longer
+builds are pinned here (:meth:`SplitNodeDAG.eager_transfer_node_count`
+must keep reproducing them), as is the DAG being the same before and
+after covering and after a block-cache round trip.  The sweep at the
+bottom checks production covering against the test-only reference
+oracle on every example program x machine file, and on the frozen fuzz
+corpus.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ from repro.frontend import compile_source
 from repro.fuzz import load_case
 from repro.ir import BlockDAG, Opcode
 from repro.isdl import BUILTIN_MACHINES, parse_machine
-from repro.sndag import SNKind, build_split_node_dag
+from repro.serve import BlockCache
+from repro.sndag import build_split_node_dag
 
 from conftest import build_fig2_dag
 from reference_kernel import KERNELS
@@ -49,8 +51,16 @@ EAGER_FIG2 = {
 
 class TestLazyConstruction:
     def test_lazy_build_creates_no_transfer_nodes(self, fig2_dag, arch1):
+        # Value, split and alternative nodes only; the 19 transfer nodes
+        # of the paper's Fig. 4 are counted, not built.
         sn = build_split_node_dag(fig2_dag, arch1)
-        assert sn.stats()["transfer_nodes"] == 0
+        assert sn.stats() == {
+            "value_nodes": 4,
+            "split_nodes": 4,
+            "alternative_nodes": 7,
+            "total": 15,
+        }
+        assert sn.paper_node_count() == 15 + 19
 
     def test_non_transfer_population_matches_eager(self):
         for name, (values, splits, alternatives, _) in EAGER_FIG2.items():
@@ -71,34 +81,9 @@ class TestLazyConstruction:
         with pytest.raises(TypeError):
             HeuristicConfig(sndag_mode="lazy")
 
-    def test_materialize_transfer_dedups_demands(self, fig2_dag, arch1):
-        sn = build_split_node_dag(fig2_dag, arch1)
-        leaf = fig2_dag.leaf_nodes()[0]
-        first = sn.materialize_transfer(leaf, "DM", "RF2")
-        created = sn.stats()["transfer_nodes"]
-        assert created == 1  # single-bus machine: one-hop chain
-        assert sn.materialize_transfer(leaf, "DM", "RF2") == first
-        assert sn.stats()["transfer_nodes"] == created
-
-    def test_materialized_chains_reconverge_like_eager(self, fig2_dag, arch_dual):
-        # Two demands whose canonical chains share a prefix reuse the
-        # shared hops via the same _transfer_index as the eager build.
-        sn = build_split_node_dag(fig2_dag, arch_dual)
-        leaf = fig2_dag.leaf_nodes()[0]
-        sn.materialize_transfer(leaf, "DM", "RF1")
-        one_hop = sn.stats()["transfer_nodes"]
-        sn.materialize_transfer(leaf, "DM", "RF3")
-        # DM->RF3 goes through an adjacent file; if the canonical route
-        # runs over the already-materialized DM->RF1 hop, it is shared.
-        chain = sn.transfer_db.canonical_path("DM", "RF3")
-        expected = one_hop + len(chain)
-        if chain[0].destination == "RF1":
-            expected -= 1
-        assert sn.stats()["transfer_nodes"] == expected
-
     def test_eager_count_matches_eager_build(self):
         # The transfer nodes the paper's eager construction built for
-        # the Fig. 2 DAG, before and after a compile materialised some.
+        # the Fig. 2 DAG, before and after a compile.
         for name, (*_, transfers) in EAGER_FIG2.items():
             machine = parse_machine(
                 (REPO / "machines" / f"{name}.isdl").read_text()
@@ -114,7 +99,6 @@ class TestLazyConstruction:
                 (REPO / "machines" / f"{name}.isdl").read_text()
             )
             solution = generate_block_solution(build_fig2_dag(), machine)
-            assert solution.sn.stats()["transfer_nodes"] > 0
             assert solution.sn.paper_node_count() == sum(counts), name
 
     def test_both_modes_reject_unreachable_machines(self):
@@ -133,64 +117,52 @@ class TestLazyConstruction:
         with pytest.raises(NoTransferPathError):
             build_split_node_dag(dag, machine)
 
-    def test_lazy_solution_materializes_fewer_than_eager(self, fig2_dag, arch1):
-        solution = generate_block_solution(fig2_dag, arch1)
-        stats = solution.sn.transfer_stats()
-        assert stats["materialized"] == solution.sn.stats()["transfer_nodes"]
-        assert stats["materialized"] < stats["eager"]
-        assert stats["avoided"] == stats["eager"] - stats["materialized"]
-
-    def test_equivalent_paths_fold_into_canonical(self):
-        # Two parallel DM<->R1 buses: eager builds a transfer node per
-        # bus, lazy folds them into one canonical chain and counts it.
-        machine = parse_machine(
-            "machine m { memory DM size 8; regfile R1 size 4;"
-            " unit U1 regfile R1 { op ADD; }"
-            " bus B1 connects DM, R1;"
-            " bus B2 connects DM, R1; }"
-        )
-        dag = BlockDAG()
-        dag.store("x", dag.operation(Opcode.ADD, (dag.var("a"), dag.var("b"))))
-        solution = generate_block_solution(dag, machine)
-        assert solution.sn.transfer_paths_folded > 0
-        buses = {
-            n.bus
-            for n in solution.sn.nodes.values()
-            if n.kind is SNKind.TRANSFER
-        }
-        assert len(buses) <= 1  # canonical representative only
-
-
-#: TRANSFER nodes a default-config compile of each paper workload
-#: materialises, on Architecture I and II (4 registers per file).
-MATERIALIZED = {
-    "arch1": {"Ex1": 20, "Ex2": 26, "Ex3": 26, "Ex4": 36, "Ex5": 30},
-    "arch2": {"Ex1": 9, "Ex2": 10, "Ex3": 10, "Ex4": 20, "Ex5": 21},
-}
-
 
 class TestPaperWorkloadMaterialization:
-    @pytest.mark.parametrize("machine_key", sorted(MATERIALIZED))
-    def test_materialized_transfer_nodes(self, machine_key):
-        machine = BUILTIN_MACHINES[machine_key](4)
-        counts = {
-            load.name: generate_block_solution(
-                load.build(), machine, HeuristicConfig()
-            ).sn.transfer_stats()["materialized"]
-            for load in WORKLOADS
-        }
-        assert counts == MATERIALIZED[machine_key]
+    """The paper's transfer-node counts on its own workloads."""
 
     def test_ex2_blowup_is_avoided(self, arch1):
         # Ex2 on Architecture I: the paper's eager expansion would build
-        # 43 transfer nodes; the compile materialises 26.
+        # 43 transfer nodes; none is built.
         solution = generate_block_solution(
             workload("Ex2").build(), arch1, HeuristicConfig()
         )
-        stats = solution.sn.transfer_stats()
-        assert (stats["eager"], stats["materialized"], stats["avoided"]) == (
-            43, 26, 17,
+        assert solution.sn.eager_transfer_node_count() == 43
+        assert len(solution.sn) == 30
+
+
+class TestReadOnlyAfterBuild:
+    """Covering reads the Split-Node DAG and never changes it."""
+
+    def test_covering_leaves_the_dag_unchanged(self):
+        # Ex1-Ex5 on Architectures I and II, and the Fig. 2 block on the
+        # two-bus machine.
+        cases = [
+            (f"{load.name}@{key}", load.build(), BUILTIN_MACHINES[key](4))
+            for key in ("arch1", "arch2")
+            for load in WORKLOADS
+        ]
+        cases.append(
+            ("fig2@dualbus", build_fig2_dag(), BUILTIN_MACHINES["dualbus"](4))
         )
+        for name, dag, machine in cases:
+            sn = build_split_node_dag(dag, machine)
+            before = dict(sn.nodes)
+            solution = generate_block_solution(dag, machine, sn=sn)
+            assert solution.sn is sn, name
+            assert sn.nodes == before, name
+
+    def test_cache_hit_carries_the_fresh_dag(self, arch1, tmp_path):
+        # A hit rebuilds the DAG from (dag, machine); it must equal the
+        # one the fresh compile that stored the entry carried.
+        cache = BlockCache(tmp_path)
+        dag = workload("Ex2").build()
+        fresh = generate_block_solution(dag, arch1, disk_cache=cache)
+        hit = generate_block_solution(dag, arch1, disk_cache=cache)
+        assert hit is not fresh and hit.sn is not fresh.sn
+        assert hit.sn.stats() == fresh.sn.stats()
+        assert hit.sn.nodes == fresh.sn.nodes
+        assert len(hit.sn) == 30
 
 
 def _canonical_compile(function, machine, config):
