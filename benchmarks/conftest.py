@@ -6,8 +6,8 @@ pytest-benchmark timing, each bench writes its reproduction artefact
 ``benchmarks/results/`` so the output survives pytest's capture.
 
 Environment:
-    REPRO_FULL=1  run the expensive variants (full heuristics-off rows
-                  for Table I, larger optimal-search budgets).
+    REPRO_FULL=1  run the expensive variants (heuristics-off rows for
+                  every Table I block, larger explore runs).
 """
 
 from __future__ import annotations

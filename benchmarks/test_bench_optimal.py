@@ -12,24 +12,20 @@ Gate: every solve in the bench corpus must finish *proven* (the
 workloads are sized for seconds, not budget-exhaustion), and no gap may
 be negative (the driver guarantees the solver never reports worse than
 the heuristic).
-
-``REPRO_FULL=1`` adds the register-starved rows (Ex4/Ex5 at 2
-registers per file — the paper's Ex6/Ex7 setting), which take a few
-seconds each.
 """
 
 from __future__ import annotations
 
 from repro.artifacts import read_artifact, validate, write_artifact
 from repro.optimal import (
-    GAP_WORKLOADS,
     OPTIMAL_BENCH_SCHEMA,
     collect_optimal_bench,
     format_gap_table,
     summarize_optimal_bench,
 )
 
-from conftest import full_mode, write_result
+from conftest import write_result
+
 
 def _report(entries):
     """The ``repro/bench-optimal/v1`` envelope, totals included."""
@@ -40,14 +36,9 @@ def _report(entries):
     }
 
 
-#: Smoke rows: everything at 4 registers solves in well under a second.
-SMOKE_WORKLOADS = [row for row in GAP_WORKLOADS if row[2] >= 4]
-
-
 def test_bench_optimal_gap(benchmark, results_dir):
-    table = list(GAP_WORKLOADS) if full_mode() else SMOKE_WORKLOADS
     entries = benchmark.pedantic(
-        lambda: collect_optimal_bench(workloads=table),
+        collect_optimal_bench,
         rounds=1,
         iterations=1,
     )

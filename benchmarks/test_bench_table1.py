@@ -28,14 +28,7 @@ from conftest import full_mode, write_result
 
 @pytest.fixture(scope="module")
 def table1_rows():
-    return run_table1(
-        with_optimal=True,
-        with_heuristics_off=full_mode(),
-        # 250k expansions prove every row's optimum, including Ex7's
-        # spill-free 15 (~180k nodes); the fast default leaves the
-        # 2-register rows as upper bounds.
-        optimal_budget=250_000 if full_mode() else 20_000,
-    )
+    return run_table1(with_optimal=True, with_heuristics_off=full_mode())
 
 
 def test_bench_table1(benchmark, table1_rows):

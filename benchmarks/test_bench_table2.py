@@ -26,7 +26,7 @@ from conftest import write_result
 
 @pytest.fixture(scope="module")
 def table2_rows():
-    return run_table2(with_optimal=True, optimal_budget=20_000)
+    return run_table2(with_optimal=True)
 
 
 def test_bench_table2(benchmark, table2_rows):

@@ -35,7 +35,8 @@ Subsystem map (see DESIGN.md for the full inventory):
 ``repro.asmgen``    VLIW instructions, control flow, whole programs
 ``repro.assembler`` text assembly + binary encode/decode
 ``repro.simulator`` cycle-level VLIW simulator
-``repro.baselines`` phase-ordered baseline + optimal search
+``repro.baselines`` phase-ordered baseline compiler
+``repro.optimal``   constraint-solver optimal backend (proven minima)
 ``repro.eval``      Tables I/II workloads and experiment harness
 ``repro.telemetry`` phase spans, search counters, Chrome-trace export
 =================  ====================================================
@@ -90,7 +91,7 @@ from repro.assembler import (
     load_object,
 )
 from repro.simulator import run_program, Debugger, profile_run
-from repro.baselines import sequential_block_solution, optimal_block_cost
+from repro.baselines import sequential_block_solution
 from repro.eval import (
     WORKLOADS,
     APPLICATIONS,
@@ -157,7 +158,6 @@ __all__ = [
     "Debugger",
     "profile_run",
     "sequential_block_solution",
-    "optimal_block_cost",
     "WORKLOADS",
     "APPLICATIONS",
     "run_table1",

@@ -1,20 +1,17 @@
-"""Comparison code generators.
+"""The comparison code generator.
 
-- :mod:`repro.baselines.sequential` — a conventional *phase-ordered*
-  code generator (select units, then insert transfers, then list-
-  schedule, then allocate).  This is the style of compiler the paper
-  argues against; the ablation benches measure the cost of decoupling
-  the phases.
-- :mod:`repro.baselines.exhaustive` — a branch-and-bound search for the
-  minimum instruction count, standing in for the paper's hand-coded
-  optimal solutions ("the hand-coded results are all optimal").
+:mod:`repro.baselines.sequential` is a conventional *phase-ordered*
+code generator (select units, then insert transfers, then list-schedule,
+then allocate).  This is the style of compiler the paper argues against;
+the ablation benches measure the cost of decoupling the phases.
+
+The paper's other comparison, its hand-coded optimal solutions ("the
+hand-coded results are all optimal"), is the constraint solver's proven
+minimum in :mod:`repro.optimal`.
 """
 
 from repro.baselines.sequential import sequential_block_solution
-from repro.baselines.exhaustive import OptimalResult, optimal_block_cost
 
 __all__ = [
     "sequential_block_solution",
-    "OptimalResult",
-    "optimal_block_cost",
 ]

@@ -32,8 +32,11 @@ Commands
     Disassemble an object file written by ``compile --bin``.
 ``simulate OBJECT --machine NAME [--set VAR=VAL ...] [--trace]``
     Execute an object file on the simulator.
-``tables [--table {1,2,both}] [--heuristics-off] [--no-optimal]``
-    Regenerate the paper's Table I / Table II.
+``tables [--table {1,2,both}] [--heuristics-off] [--no-optimal]
+[--optimal-budget N]``
+    Regenerate the paper's Table I / Table II.  The Optimal column is
+    the constraint solver's proven minimum (:mod:`repro.optimal`); a
+    ``*`` marks a row whose solve ran out of conflicts.
 ``gap [--workload NAME ...] [--budget N] [--json FILE]``
     Measure the heuristic-vs-optimal gap over the paper workloads: the
     constraint solver (:mod:`repro.optimal`) re-solves every block to
@@ -133,6 +136,7 @@ from repro.isdl.builtin_machines import BUILTIN_MACHINES
 from repro.isdl.model import Machine
 from repro.isdl.parser import parse_machine
 from repro.isdl.writer import machine_to_isdl
+from repro.optimal import DEFAULT_CONFLICT_BUDGET
 
 
 def resolve_machine(spec: str) -> Machine:
@@ -1013,9 +1017,9 @@ def build_parser() -> argparse.ArgumentParser:
     compile_parser.add_argument(
         "--optimal-budget",
         type=int,
-        default=50_000,
+        default=DEFAULT_CONFLICT_BUDGET,
         metavar="N",
-        help="CDCL conflict budget per block solve (default 50000)",
+        help="CDCL conflict budget per block solve (default %(default)s)",
     )
     add_profile_arguments(compile_parser)
 
@@ -1075,7 +1079,13 @@ def build_parser() -> argparse.ArgumentParser:
     tables.add_argument("--table", choices=["1", "2", "both"], default="both")
     tables.add_argument("--heuristics-off", action="store_true")
     tables.add_argument("--no-optimal", action="store_true")
-    tables.add_argument("--optimal-budget", type=int, default=20_000)
+    tables.add_argument(
+        "--optimal-budget",
+        type=int,
+        default=DEFAULT_CONFLICT_BUDGET,
+        metavar="N",
+        help="CDCL conflict budget per block solve (default %(default)s)",
+    )
 
     gap = commands.add_parser(
         "gap",
@@ -1091,9 +1101,9 @@ def build_parser() -> argparse.ArgumentParser:
     gap.add_argument(
         "--budget",
         type=int,
-        default=50_000,
+        default=DEFAULT_CONFLICT_BUDGET,
         metavar="N",
-        help="CDCL conflict budget per block solve (default 50000)",
+        help="CDCL conflict budget per block solve (default %(default)s)",
     )
     gap.add_argument(
         "--json",

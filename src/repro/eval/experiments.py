@@ -2,9 +2,10 @@
 
 Each row reports, for one basic block on one architecture: the original
 DAG size, the Split-Node DAG size, registers per file, spills inserted,
-the minimum ("by hand", here: branch-and-bound) instruction count, the
-instruction count AVIV finds, and CPU time — optionally also with all
-heuristics turned off (the paper's parenthesised numbers).
+the minimum ("by hand", here: the constraint solver's proven minimum,
+:mod:`repro.optimal`) instruction count, the instruction count AVIV
+finds, and CPU time — optionally also with all heuristics turned off
+(the paper's parenthesised numbers).
 
 Every row is validated end to end: the generated program is run on the
 VLIW simulator and its outputs compared against the IR interpreter.
@@ -23,8 +24,8 @@ from repro.isdl.model import Machine
 from repro.asmgen.program import compile_dag
 from repro.covering.config import HeuristicConfig
 from repro.covering.engine import generate_block_solution
-from repro.baselines.exhaustive import optimal_block_cost
 from repro.eval.workloads import WORKLOADS, Workload
+from repro.optimal import DEFAULT_CONFLICT_BUDGET, optimal_block_solution
 from repro.simulator.executor import run_program
 from repro.sndag.build import build_split_node_dag
 
@@ -46,10 +47,10 @@ class ExperimentRow:
     aviv_no_heuristics: Optional[int] = None
     cpu_seconds_no_heuristics: Optional[float] = None
     validated: bool = False
-    #: Branch-and-bound effort behind the ``by_hand`` column: nodes the
-    #: search actually expanded against its budget, so an unproven bound
-    #: ("timed out at 10" vs "timed out at 10M") carries its context.
-    by_hand_nodes: Optional[int] = None
+    #: Solver effort behind the ``by_hand`` column: conflicts the
+    #: search actually spent against its conflict budget, so an unproven
+    #: bound ("stopped at 10" vs "stopped at 10M") carries its context.
+    by_hand_conflicts: Optional[int] = None
     by_hand_budget: Optional[int] = None
 
 
@@ -97,7 +98,7 @@ def run_experiment(
     config: Optional[HeuristicConfig] = None,
     with_optimal: bool = True,
     with_heuristics_off: bool = False,
-    optimal_budget: int = 200_000,
+    optimal_budget: int = DEFAULT_CONFLICT_BUDGET,
     validate: bool = True,
 ) -> ExperimentRow:
     """Run one table row."""
@@ -107,19 +108,21 @@ def run_experiment(
     solution = generate_block_solution(dag, machine, config, sn=sn)
     by_hand: Optional[int] = None
     proven = False
-    by_hand_nodes: Optional[int] = None
+    by_hand_conflicts: Optional[int] = None
     by_hand_budget: Optional[int] = None
     if with_optimal:
-        optimal = optimal_block_cost(
+        optimal = optimal_block_solution(
             dag,
             machine,
-            node_budget=optimal_budget,
-            upper_bound=solution.instruction_count,
+            config=config,
+            conflict_budget=optimal_budget,
+            sn=sn,
+            heuristic_solution=solution,
         )
         by_hand = optimal.cost
         proven = optimal.proven
-        by_hand_nodes = optimal.nodes_expanded
-        by_hand_budget = optimal.node_budget
+        by_hand_conflicts = optimal.conflicts
+        by_hand_budget = optimal.conflict_budget
     row = ExperimentRow(
         block=load.name,
         machine=machine.name,
@@ -131,7 +134,7 @@ def run_experiment(
         by_hand_proven=proven,
         aviv=solution.instruction_count,
         cpu_seconds=solution.cpu_seconds,
-        by_hand_nodes=by_hand_nodes,
+        by_hand_conflicts=by_hand_conflicts,
         by_hand_budget=by_hand_budget,
     )
     if with_heuristics_off:
@@ -149,7 +152,7 @@ def run_table1(
     config: Optional[HeuristicConfig] = None,
     with_optimal: bool = True,
     with_heuristics_off: bool = False,
-    optimal_budget: int = 200_000,
+    optimal_budget: int = DEFAULT_CONFLICT_BUDGET,
 ) -> List[ExperimentRow]:
     """Table I: Ex1–Ex5 on the Fig. 3 architecture at 4 registers per
     file, then Ex6/Ex7 (= Ex4/Ex5) at 2 registers per file."""
@@ -185,7 +188,7 @@ def run_table1(
 def run_table2(
     config: Optional[HeuristicConfig] = None,
     with_optimal: bool = True,
-    optimal_budget: int = 200_000,
+    optimal_budget: int = DEFAULT_CONFLICT_BUDGET,
 ) -> List[ExperimentRow]:
     """Table II: Ex1–Ex5 on Architecture II (retargetability check)."""
     rows: List[ExperimentRow] = []

@@ -27,6 +27,13 @@ def _fmt_hand(row: ExperimentRow) -> str:
     return str(row.by_hand) if row.by_hand_proven else f"{row.by_hand}*"
 
 
+def _fmt_gap(row: ExperimentRow) -> str:
+    if row.by_hand is None:
+        return "-"
+    gap = f"+{row.aviv - row.by_hand}"
+    return gap if row.by_hand_proven else f"{gap}*"
+
+
 _HEADERS = [
     "Block",
     "Orig #Nodes",
@@ -67,17 +74,23 @@ def format_rows(rows: List[ExperimentRow], title: str = "") -> str:
         )
         if index == 0:
             lines.append("  ".join("-" * w for w in widths))
-    lines.append("(* = search budget exhausted; value is an upper bound)")
-    for row in rows:
-        if row.by_hand is None or row.by_hand_proven:
-            continue
-        nodes = row.by_hand_nodes
+    starred = [
+        row
+        for row in rows
+        if row.by_hand is not None and not row.by_hand_proven
+    ]
+    if starred:
+        lines.append(
+            "(* = conflict budget exhausted; value is an upper bound)"
+        )
+    for row in starred:
+        conflicts = row.by_hand_conflicts
         budget = row.by_hand_budget
-        if nodes is None or budget is None:
+        if conflicts is None or budget is None:
             continue
         lines.append(
-            f"  * {row.block}: stopped after {nodes} of "
-            f"{budget} search node(s)"
+            f"  * {row.block}: stopped after {conflicts} of "
+            f"{budget} conflict(s)"
         )
     return "\n".join(lines)
 
@@ -100,9 +113,6 @@ def format_comparison(
     table = [headers]
     for row in rows:
         expected = paper.get(row.block, {})
-        gap = (
-            row.aviv - row.by_hand if row.by_hand is not None else None
-        )
         paper_gap = (
             expected.get("aviv", 0) - expected.get("hand", 0)
             if expected
@@ -116,7 +126,7 @@ def format_comparison(
                 f"{row.spills_inserted} ({expected.get('spills', '?')})",
                 f"{_fmt_hand(row)} ({expected.get('hand', '?')})",
                 f"{row.aviv} ({expected.get('aviv', '?')})",
-                f"+{gap} [paper +{paper_gap}]",
+                f"{_fmt_gap(row)} [paper +{paper_gap}]",
             ]
         )
     widths = [max(len(r[i]) for r in table) for i in range(len(headers))]

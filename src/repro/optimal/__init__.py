@@ -1,10 +1,9 @@
 """The optimal backend: a constraint-solver oracle for assignment +
-covering + scheduling.
+covering + scheduling, and the Optimal column of ``repro tables``.
 
-Where :mod:`repro.baselines.exhaustive` branches over shrunk maximal
-cliques, this package encodes each functional-unit assignment's task
-graph as a boolean constraint problem (:mod:`repro.optimal.encoding`),
-solves it with a pure-python CDCL SAT core plus CP bounds propagation
+This package encodes each functional-unit assignment's task graph as a
+boolean constraint problem (:mod:`repro.optimal.encoding`), solves it
+with a pure-python CDCL SAT core plus CP bounds propagation
 (:mod:`repro.optimal.solver`), tightens the makespan bound by bound
 under assumptions until UNSAT proves optimality, and replays every
 model through the independent translation validator before trusting it
@@ -19,8 +18,9 @@ Scope and honesty (details in ``docs/optimality.md``):
 
 - the search space is ``explore_assignments(heuristics_off)`` ×
   spill-free schedules of each assignment's deterministic
-  :class:`TaskGraph` — the same scope as ``baselines.exhaustive``, so
-  the two oracles are differentially comparable;
+  :class:`TaskGraph` — the same scope as the test-only branch-and-bound
+  oracle (``tests/branch_and_bound.py``), so the two are
+  differentially comparable;
 - the heuristic engine's result seeds the upper bound, so the reported
   cost is **never worse than the heuristic's**;
 - schedules requiring spills are not enumerated; when the heuristic
@@ -30,7 +30,7 @@ Scope and honesty (details in ``docs/optimality.md``):
   to UNSAT at the final bound or shown infeasible, with no conflict
   budget exhaustion and no assignment truncation.
 
-Unlike the branch-and-bound baseline, the solver handles multi-cycle
+Unlike the branch-and-bound oracle, the solver handles multi-cycle
 operation latencies natively.
 """
 

@@ -40,7 +40,8 @@ clauses survive every tightening step (iterative UNSAT-tightening).
 Honesty notes (also in ``docs/optimality.md``): transfer-path selection
 inside an assignment follows the TaskGraph's deterministic
 least-congested choice, and spilled schedules are not enumerated — the
-same scope as ``baselines.exhaustive``.
+same scope as the test-only branch-and-bound oracle
+(``tests/branch_and_bound.py``).
 """
 
 from __future__ import annotations

@@ -1,15 +1,15 @@
-"""Tests for the sequential baseline and the optimal search."""
+"""Tests for the sequential baseline and the test-only branch-and-bound
+oracle (``tests/branch_and_bound.py``) that the solver is checked
+against."""
 
 import pytest
 
-from repro.baselines import (
-    optimal_block_cost,
-    sequential_block_solution,
-)
+from repro.baselines import sequential_block_solution
 from repro.covering import HeuristicConfig, generate_block_solution
 from repro.isdl import example_architecture
 from repro.regalloc import allocate_registers
 
+from branch_and_bound import optimal_block_cost
 from conftest import build_fig2_dag, build_wide_dag
 
 

@@ -200,7 +200,7 @@ class TestBaselineAndPeephole:
         solution.validate()
 
     def test_optimal_search_rejects_multi_cycle(self, pipe):
-        from repro.baselines import optimal_block_cost
+        from branch_and_bound import optimal_block_cost
         from repro.errors import ReproError
 
         with pytest.raises(ReproError):

@@ -138,43 +138,51 @@ class TestPipelineCustomisation:
 
 
 class TestReportingEdgeCases:
-    def test_unproven_optimal_gets_asterisk(self):
+    @staticmethod
+    def _row(by_hand, proven):
         from repro.eval.experiments import ExperimentRow
-        from repro.eval.reporting import format_rows
 
-        row = ExperimentRow(
-            block="X",
+        return ExperimentRow(
+            block="Ex1",
             machine="m",
             original_nodes=3,
             split_node_nodes=9,
             registers_per_file=4,
             spills_inserted=0,
-            by_hand=5,
-            by_hand_proven=False,
+            by_hand=by_hand,
+            by_hand_proven=proven,
             aviv=6,
             cpu_seconds=0.01,
             validated=True,
         )
-        text = format_rows([row])
-        assert "5*" in text
 
-    def test_missing_optimal_renders_dash(self):
-        from repro.eval.experiments import ExperimentRow
+    def test_unproven_optimal_gets_asterisk(self):
         from repro.eval.reporting import format_rows
 
-        row = ExperimentRow(
-            block="X",
-            machine="m",
-            original_nodes=3,
-            split_node_nodes=9,
-            registers_per_file=4,
-            spills_inserted=0,
-            by_hand=None,
-            by_hand_proven=False,
-            aviv=6,
-            cpu_seconds=0.01,
-        )
-        assert "-" in format_rows([row])
+        assert "5*" in format_rows([self._row(5, False)])
+
+    def test_missing_optimal_renders_dash(self):
+        from repro.eval.reporting import format_rows
+
+        assert "-" in format_rows([self._row(None, False)])
+
+    def test_legend_only_when_a_row_is_starred(self):
+        from repro.eval.reporting import format_rows
+
+        assert "(* =" not in format_rows([self._row(5, True)])
+        assert "(* =" not in format_rows([self._row(None, False)])
+        assert "(* =" in format_rows([self._row(5, False)])
+
+    @pytest.mark.parametrize(
+        "by_hand, proven, cell",
+        [(None, False, "-"), (5, False, "+1*"), (5, True, "+1")],
+    )
+    def test_comparison_gap_cell(self, by_hand, proven, cell):
+        from repro.eval.experiments import PAPER_TABLE1
+        from repro.eval.reporting import format_comparison
+
+        text = format_comparison([self._row(by_hand, proven)], PAPER_TABLE1)
+        assert text.splitlines()[-1].endswith(f" {cell} [paper +0]")
 
 
 class TestScheduleTableWithStalls:

@@ -114,8 +114,8 @@ class TestOptimalSolve:
             optimal_block_solution(dag, tiny)
 
     def test_multi_cycle_latency_machine(self):
-        # baselines.exhaustive refuses multi-cycle ops; the solver
-        # handles them natively.
+        # The branch-and-bound oracle (tests/branch_and_bound.py)
+        # refuses multi-cycle ops; the solver handles them natively.
         machine = BUILTIN_MACHINES["pipe"]()
         if not any(
             op.latency > 1 for u in machine.units for op in u.operations

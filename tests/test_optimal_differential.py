@@ -1,7 +1,7 @@
 """Differential test: two independent optimality oracles must agree.
 
-:mod:`repro.baselines.exhaustive` proves minimal block lengths by
-branch-and-bound over shrunk maximal cliques;
+The test-only oracle ``tests/branch_and_bound.py`` proves minimal block
+lengths by branch-and-bound over shrunk maximal cliques;
 :mod:`repro.optimal` proves them by SAT with makespan tightening.  The
 two searches share nothing but the assignment enumeration, so wherever
 *both* claim a proof they must name the same number — any disagreement
@@ -10,11 +10,11 @@ is a soundness bug in one of them.
 
 import pytest
 
-from repro.baselines import optimal_block_cost
 from repro.eval.workloads import WORKLOADS
 from repro.isdl import example_architecture
 from repro.optimal import optimal_block_solution
 
+from branch_and_bound import optimal_block_cost
 from conftest import build_fig2_dag, build_wide_dag
 
 
