@@ -1,12 +1,13 @@
 """Corpus-wide optimality gap — ``results/BENCH_optimal.json``.
 
-Re-solves the Table-I / Table-II workloads to proven minimality with
-the constraint-solver backend and compares the heuristic engine's block
-lengths against the proofs (schema ``repro/bench-optimal/v1``).  This
-turns the paper's "hand-coded optimal" column into a regenerable
-artifact: the summary says how many blocks the heuristic left cycles
-on, and by how much.  The exact gaps of the 4-register rows are pinned
-by ``tests/test_optimal_backend.py``.
+Re-solves the rows of Tables I and II to proven minimality with the
+constraint-solver backend and compares the heuristic engine's block
+lengths against the proofs (schema ``repro/bench-optimal/v1``, the
+report ``repro tables --json`` writes).  This turns the paper's
+"hand-coded optimal" column into a regenerable artifact: the summary
+says how many blocks the heuristic left cycles on, and by how much.
+The exact gaps of the 4-register rows are pinned by
+``tests/test_optimal_backend.py``.
 
 Gate: every solve in the bench corpus must finish *proven* (the
 workloads are sized for seconds, not budget-exhaustion), and no gap may
@@ -17,40 +18,30 @@ the heuristic).
 from __future__ import annotations
 
 from repro.artifacts import read_artifact, validate, write_artifact
-from repro.optimal import (
-    OPTIMAL_BENCH_SCHEMA,
-    collect_optimal_bench,
-    format_gap_table,
-    summarize_optimal_bench,
+from repro.eval import (
+    optimal_bench_report,
+    run_experiment,
+    run_table1,
+    run_table2,
+    workload,
 )
-
-from conftest import write_result
-
-
-def _report(entries):
-    """The ``repro/bench-optimal/v1`` envelope, totals included."""
-    return {
-        "schema": OPTIMAL_BENCH_SCHEMA,
-        "summary": summarize_optimal_bench(entries),
-        "entries": entries,
-    }
+from repro.isdl import example_architecture
+from repro.optimal import OPTIMAL_BENCH_SCHEMA
 
 
 def test_bench_optimal_gap(benchmark, results_dir):
-    entries = benchmark.pedantic(
-        collect_optimal_bench,
+    rows = benchmark.pedantic(
+        lambda: run_table1() + run_table2(),
         rounds=1,
         iterations=1,
     )
     path = results_dir / "BENCH_optimal.json"
-    payload = _report(entries)
+    payload = optimal_bench_report(rows)
     write_artifact(path, payload)
     read_artifact(path, OPTIMAL_BENCH_SCHEMA)  # round-trips schema-valid
 
-    write_result("optimal_gap.txt", format_gap_table(entries))
-
     # Honesty gate: the bench corpus is sized to finish its proofs.
-    for entry in entries:
+    for entry in payload["entries"]:
         assert entry["proven"], (
             f"{entry['workload']} on {entry['machine']}: solve "
             f"exhausted its conflict budget"
@@ -67,16 +58,15 @@ def test_bench_optimal_gap(benchmark, results_dir):
 
 
 def test_bench_optimal_report_shape(benchmark):
-    """A single-workload collection round-trips the schema."""
-    entries = benchmark.pedantic(
-        lambda: collect_optimal_bench(workloads=[("Ex1", "arch1", 4)]),
+    """A single-row report round-trips the schema."""
+    row = benchmark.pedantic(
+        lambda: run_experiment(workload("Ex1"), example_architecture(4), 4),
         rounds=1,
         iterations=1,
     )
-    assert len(entries) == 1
-    payload = _report(entries)
+    payload = optimal_bench_report([row])
     validate(payload, OPTIMAL_BENCH_SCHEMA)
-    entry = entries[0]
+    (entry,) = payload["entries"]
     assert entry["proven"]
     assert entry["cpu_seconds"] > 0
     assert entry["gap"] == entry["heuristic_cost"] - entry["optimal_cost"]

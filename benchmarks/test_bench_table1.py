@@ -44,16 +44,15 @@ def test_bench_table1(benchmark, table1_rows):
     by_name = {row.block: row for row in table1_rows}
     for row in table1_rows:
         assert row.validated, f"{row.block} failed end-to-end validation"
-        if row.by_hand is not None:
-            # AVIV near-optimal on the 4-register rows (paper's worst gap
-            # is 4); the 2-register rows may gap further — the paper's own
-            # diagnosis: "the initial functional unit assignment cost
-            # function did not detect that [its] assignments ... would
-            # result in spills".  Heuristics-off recovers the optimum.
-            limit = 4 if row.registers_per_file >= 4 else 8
-            assert row.aviv - row.by_hand <= limit, row.block
-            if row.aviv_no_heuristics is not None:
-                assert row.aviv_no_heuristics - row.by_hand <= 1, row.block
+        # AVIV near-optimal on the 4-register rows (paper's worst gap
+        # is 4); the 2-register rows may gap further — the paper's own
+        # diagnosis: "the initial functional unit assignment cost
+        # function did not detect that [its] assignments ... would
+        # result in spills".  Heuristics-off recovers the optimum.
+        limit = 4 if row.registers_per_file >= 4 else 8
+        assert row.aviv - row.optimal.cost <= limit, row.block
+        if row.aviv_no_heuristics is not None:
+            assert row.aviv_no_heuristics - row.optimal.cost <= 1, row.block
     # Split-Node DAGs are several times larger than the original DAGs.
     for row in table1_rows:
         assert row.split_node_nodes >= 2 * row.original_nodes

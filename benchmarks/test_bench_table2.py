@@ -41,8 +41,7 @@ def test_bench_table2(benchmark, table2_rows):
     for row in table2_rows:
         assert row.validated
         assert row.spills_inserted == 0  # paper: no spills at 4 regs
-        if row.by_hand is not None:
-            assert row.aviv - row.by_hand <= 4
+        assert row.aviv - row.optimal.cost <= 4
 
 
 def test_bench_table2_vs_table1_shape(benchmark, table2_rows):

@@ -1,7 +1,7 @@
 """One checker for every ``repro/*/v1`` JSON artifact.
 
-Every versioned JSON document the repo writes — the ``repro gap`` and
-``repro explore`` reports, the service reports and exports, the
+Every versioned JSON document the repo writes — the ``repro tables``
+and ``repro explore`` reports, the service reports and exports, the
 observability artifacts — is declared once in :data:`SCHEMAS`: its
 **shape**, built from the spec forms below, and a **rules** function
 for the cross-field invariants a shape cannot state (``gap ==

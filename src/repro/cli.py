@@ -33,18 +33,15 @@ Commands
 ``simulate OBJECT --machine NAME [--set VAR=VAL ...] [--trace]``
     Execute an object file on the simulator.
 ``tables [--table {1,2,both}] [--heuristics-off] [--no-optimal]
-[--optimal-budget N]``
-    Regenerate the paper's Table I / Table II.  The Optimal column is
-    the constraint solver's proven minimum (:mod:`repro.optimal`); a
-    ``*`` marks a row whose solve ran out of conflicts.
-``gap [--workload NAME ...] [--budget N] [--json FILE]``
-    Measure the heuristic-vs-optimal gap over the paper workloads: the
-    constraint solver (:mod:`repro.optimal`) re-solves every block to
-    proven minimality and the table compares the heuristic engine's
-    block lengths against it.  ``--json`` writes
-    the versioned `repro/bench-optimal/v1` report
-    (``BENCH_optimal.json``); exit 1 when any solve exhausted its
-    conflict budget (the gap is then only an upper bound).
+[--optimal-budget N] [--json FILE]``
+    Regenerate the paper's Table I / Table II.  Each row compiles its
+    block once and simulates that program against the IR interpreter
+    (the Valid column).  The Optimal column is the constraint solver's
+    proven minimum (:mod:`repro.optimal`); a ``*`` marks a row whose
+    solve ran out of conflicts.  ``--json`` writes the versioned
+    `repro/bench-optimal/v1` report of the printed rows
+    (``BENCH_optimal.json``).  Exit 1 when any row reads ``NO`` or is
+    starred.
 ``fuzz [--seed N] [--iterations N] [--time-budget S] [--artifacts DIR]
 [--optimal-oracle]``
     Differential fuzzing: random (program, machine, config) triples
@@ -131,6 +128,7 @@ from typing import List, Optional
 
 from repro.errors import ReproError
 from repro.frontend import compile_source
+from repro.fuzz.oracle import DEFAULT_OPTIMAL_BUDGET
 from repro.ir.interp import interpret_function
 from repro.isdl.builtin_machines import BUILTIN_MACHINES
 from repro.isdl.model import Machine
@@ -427,69 +425,44 @@ def _cmd_tables(args) -> int:
         run_table1,
         run_table2,
     )
-    from repro.eval.reporting import format_comparison, format_rows
+    from repro.eval.reporting import (
+        format_comparison,
+        format_rows,
+        optimal_bench_report,
+    )
 
+    if args.json and args.no_optimal:
+        raise ReproError(
+            "--json reports the optimal solves; drop --no-optimal"
+        )
+    rows = []
     want = args.table
     if want in ("1", "both"):
-        rows = run_table1(
+        table = run_table1(
             with_optimal=not args.no_optimal,
             with_heuristics_off=args.heuristics_off,
             optimal_budget=args.optimal_budget,
         )
-        print(format_rows(rows, "Table I — example target architecture"))
+        print(format_rows(table, "Table I — example target architecture"))
         print()
-        print(format_comparison(rows, PAPER_TABLE1, "vs. paper"))
+        print(format_comparison(table, PAPER_TABLE1, "vs. paper"))
         print()
+        rows += table
     if want in ("2", "both"):
-        rows = run_table2(
+        table = run_table2(
             with_optimal=not args.no_optimal,
             optimal_budget=args.optimal_budget,
         )
-        print(format_rows(rows, "Table II — Architecture II"))
+        print(format_rows(table, "Table II — Architecture II"))
         print()
-        print(format_comparison(rows, PAPER_TABLE2, "vs. paper"))
-    return 0
-
-
-def _cmd_gap(args) -> int:
-    from repro.artifacts import write_artifact
-    from repro.optimal import (
-        GAP_WORKLOADS,
-        OPTIMAL_BENCH_SCHEMA,
-        collect_optimal_bench,
-        format_gap_table,
-        summarize_optimal_bench,
-    )
-
-    table = list(GAP_WORKLOADS)
-    if args.workload:
-        wanted = set(args.workload)
-        known = {name for name, _, _ in table}
-        missing = wanted - known
-        if missing:
-            raise ReproError(
-                f"unknown workload(s) {sorted(missing)}; "
-                f"choose from {sorted(known)}"
-            )
-        table = [row for row in table if row[0] in wanted]
-    entries = collect_optimal_bench(
-        workloads=table, conflict_budget=args.budget
-    )
-    print(format_gap_table(entries))
+        print(format_comparison(table, PAPER_TABLE2, "vs. paper"))
+        rows += table
     if args.json:
-        write_artifact(
-            args.json,
-            {
-                "schema": OPTIMAL_BENCH_SCHEMA,
-                "summary": summarize_optimal_bench(entries),
-                "entries": entries,
-            },
-        )
+        from repro.artifacts import write_artifact
+
+        write_artifact(args.json, optimal_bench_report(rows))
         print(f"; wrote {args.json}", file=sys.stderr)
-    exhausted = sum(
-        1 for entry in entries if entry["solver"]["budget_exhausted"]
-    )
-    return 1 if exhausted else 0
+    return 0 if all(row.ok for row in rows) else 1
 
 
 def _cmd_fuzz(args) -> int:
@@ -1086,26 +1059,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="CDCL conflict budget per block solve (default %(default)s)",
     )
-
-    gap = commands.add_parser(
-        "gap",
-        help="measure the heuristic-vs-optimal gap over the paper "
-        "workloads with the constraint solver",
-    )
-    gap.add_argument(
-        "--workload",
-        action="append",
-        metavar="NAME",
-        help="restrict to this workload (repeatable; default: all)",
-    )
-    gap.add_argument(
-        "--budget",
-        type=int,
-        default=DEFAULT_CONFLICT_BUDGET,
-        metavar="N",
-        help="CDCL conflict budget per block solve (default %(default)s)",
-    )
-    gap.add_argument(
+    tables.add_argument(
         "--json",
         metavar="FILE",
         help="write the repro/bench-optimal/v1 report here",
@@ -1172,10 +1126,10 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz.add_argument(
         "--optimal-budget",
         type=int,
-        default=20_000,
+        default=DEFAULT_OPTIMAL_BUDGET,
         metavar="N",
         help="CDCL conflict budget per optimal-oracle solve "
-        "(default 20000)",
+        "(default %(default)s)",
     )
 
     batch = commands.add_parser(
@@ -1438,7 +1392,6 @@ _HANDLERS = {
     "disasm": _cmd_disasm,
     "simulate": _cmd_simulate,
     "tables": _cmd_tables,
-    "gap": _cmd_gap,
     "fuzz": _cmd_fuzz,
     "verify": _cmd_verify,
     "explain": _cmd_explain,

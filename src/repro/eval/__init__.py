@@ -3,13 +3,14 @@
 from repro.eval.workloads import Workload, WORKLOADS, workload, build_workload_dag
 from repro.eval.experiments import (
     ExperimentRow,
+    PAPER_ROWS,
     run_experiment,
     run_table1,
     run_table2,
     PAPER_TABLE1,
     PAPER_TABLE2,
 )
-from repro.eval.reporting import format_rows, format_comparison
+from repro.eval.reporting import format_rows, format_comparison, optimal_bench_report
 from repro.eval.sweeps import (
     RankEntry,
     SweepPoint,
@@ -25,6 +26,7 @@ __all__ = [
     "workload",
     "build_workload_dag",
     "ExperimentRow",
+    "PAPER_ROWS",
     "run_experiment",
     "run_table1",
     "run_table2",
@@ -32,6 +34,7 @@ __all__ = [
     "PAPER_TABLE2",
     "format_rows",
     "format_comparison",
+    "optimal_bench_report",
     "RankEntry",
     "SweepPoint",
     "SweepResult",

@@ -7,27 +7,30 @@ the minimum ("by hand", here: the constraint solver's proven minimum,
 finds, and CPU time — optionally also with all heuristics turned off
 (the paper's parenthesised numbers).
 
-Every row is validated end to end: the generated program is run on the
-VLIW simulator and its outputs compared against the IR interpreter.
+Every row compiles its block once and is validated end to end: that
+program is run on the VLIW simulator and its outputs compared against
+the IR interpreter.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
-from repro.errors import ReproError
 from repro.ir.cfg import BasicBlock, Function
 from repro.ir.interp import interpret_function
-from repro.isdl.builtin_machines import architecture_two, example_architecture
+from repro.isdl.builtin_machines import BUILTIN_MACHINES
 from repro.isdl.model import Machine
 from repro.asmgen.program import compile_dag
 from repro.covering.config import HeuristicConfig
 from repro.covering.engine import generate_block_solution
-from repro.eval.workloads import WORKLOADS, Workload
-from repro.optimal import DEFAULT_CONFLICT_BUDGET, optimal_block_solution
+from repro.eval.workloads import Workload, workload
+from repro.optimal import (
+    DEFAULT_CONFLICT_BUDGET,
+    OptimalSolveResult,
+    optimal_block_solution,
+)
 from repro.simulator.executor import run_program
-from repro.sndag.build import build_split_node_dag
 
 
 @dataclass
@@ -35,24 +38,48 @@ class ExperimentRow:
     """One table row, paper-style."""
 
     block: str
+    #: The workload compiled (``Ex4`` for the paper's Ex6 row).
+    workload: str
     machine: str
     original_nodes: int
     split_node_nodes: int
     registers_per_file: int
     spills_inserted: int
-    by_hand: Optional[int]
-    by_hand_proven: bool
     aviv: int
     cpu_seconds: float
+    #: Whether the row's program matched the IR interpreter.
+    validated: bool
+    #: The solve behind the Optimal column (``None`` when not solved).
+    optimal: Optional[OptimalSolveResult] = None
     aviv_no_heuristics: Optional[int] = None
     cpu_seconds_no_heuristics: Optional[float] = None
-    validated: bool = False
-    #: Solver effort behind the ``by_hand`` column: conflicts the
-    #: search actually spent against its conflict budget, so an unproven
-    #: bound ("stopped at 10" vs "stopped at 10M") carries its context.
-    by_hand_conflicts: Optional[int] = None
-    by_hand_budget: Optional[int] = None
 
+    @property
+    def ok(self) -> bool:
+        """Valid, and proven optimal when solved: no ``NO``, no ``*``."""
+        return self.validated and (
+            self.optimal is None or self.optimal.proven
+        )
+
+
+#: The rows of Tables I and II: (label, workload, machine, registers per
+#: file).  Table I is Ex1–Ex5 on the Fig. 3 architecture at 4 registers
+#: per file, then Ex6/Ex7 (= Ex4/Ex5) at 2; Table II is Ex1–Ex5 on
+#: Architecture II.
+PAPER_ROWS: Tuple[Tuple[str, str, str, int], ...] = (
+    ("Ex1", "Ex1", "arch1", 4),
+    ("Ex2", "Ex2", "arch1", 4),
+    ("Ex3", "Ex3", "arch1", 4),
+    ("Ex4", "Ex4", "arch1", 4),
+    ("Ex5", "Ex5", "arch1", 4),
+    ("Ex6", "Ex4", "arch1", 2),
+    ("Ex7", "Ex5", "arch1", 2),
+    ("Ex1", "Ex1", "arch2", 4),
+    ("Ex2", "Ex2", "arch2", 4),
+    ("Ex3", "Ex3", "arch2", 4),
+    ("Ex4", "Ex4", "arch2", 4),
+    ("Ex5", "Ex5", "arch2", 4),
+)
 
 #: The paper's Table I (Ex6/Ex7 are Ex4/Ex5 at 2 registers per file).
 #: Columns: original nodes, split nodes, regs, spills, by-hand, aviv,
@@ -77,20 +104,6 @@ PAPER_TABLE2: Dict[str, Dict[str, int]] = {
 }
 
 
-def _validate_end_to_end(load: Workload, machine: Machine) -> bool:
-    """Compile, simulate, and compare against the IR interpreter."""
-    dag = load.build()
-    function = Function(load.name)
-    function.add_block(BasicBlock("entry", dag))
-    reference = interpret_function(function, load.inputs)
-    compiled = compile_dag(dag, machine)
-    simulated = run_program(compiled.program, machine, load.inputs)
-    for symbol in dag.store_symbols():
-        if simulated.variables.get(symbol) != reference.get(symbol):
-            return False
-    return True
-
-
 def run_experiment(
     load: Workload,
     machine: Machine,
@@ -99,53 +112,75 @@ def run_experiment(
     with_optimal: bool = True,
     with_heuristics_off: bool = False,
     optimal_budget: int = DEFAULT_CONFLICT_BUDGET,
-    validate: bool = True,
 ) -> ExperimentRow:
     """Run one table row."""
     config = config or HeuristicConfig.default()
     dag = load.build()
-    sn = build_split_node_dag(dag, machine)
-    solution = generate_block_solution(dag, machine, config, sn=sn)
-    by_hand: Optional[int] = None
-    proven = False
-    by_hand_conflicts: Optional[int] = None
-    by_hand_budget: Optional[int] = None
+    # Without peephole: it compacts the schedule in place, and the Aviv
+    # and #Spills columns report the covering engine's counts.
+    compiled = compile_dag(dag, machine, config, peephole=False)
+    solution = compiled.blocks["entry"].solution
+    function = Function(load.name)
+    function.add_block(BasicBlock("entry", dag))
+    reference = interpret_function(function, load.inputs)
+    simulated = run_program(compiled.program, machine, load.inputs)
+    row = ExperimentRow(
+        block=load.name,
+        workload=load.name,
+        machine=machine.name,
+        original_nodes=dag.stats()["paper_nodes"],
+        split_node_nodes=solution.sn.paper_node_count(),
+        registers_per_file=registers_per_file,
+        spills_inserted=solution.spill_count,
+        aviv=solution.instruction_count,
+        cpu_seconds=solution.cpu_seconds,
+        validated=all(
+            simulated.variables.get(symbol) == reference.get(symbol)
+            for symbol in dag.store_symbols()
+        ),
+    )
     if with_optimal:
-        optimal = optimal_block_solution(
+        row.optimal = optimal_block_solution(
             dag,
             machine,
             config=config,
             conflict_budget=optimal_budget,
-            sn=sn,
+            sn=solution.sn,
             heuristic_solution=solution,
         )
-        by_hand = optimal.cost
-        proven = optimal.proven
-        by_hand_conflicts = optimal.conflicts
-        by_hand_budget = optimal.conflict_budget
-    row = ExperimentRow(
-        block=load.name,
-        machine=machine.name,
-        original_nodes=dag.stats()["paper_nodes"],
-        split_node_nodes=sn.paper_node_count(),
-        registers_per_file=registers_per_file,
-        spills_inserted=solution.spill_count,
-        by_hand=by_hand,
-        by_hand_proven=proven,
-        aviv=solution.instruction_count,
-        cpu_seconds=solution.cpu_seconds,
-        by_hand_conflicts=by_hand_conflicts,
-        by_hand_budget=by_hand_budget,
-    )
     if with_heuristics_off:
         off = generate_block_solution(
-            dag, machine, HeuristicConfig.heuristics_off(), sn=sn
+            dag, machine, HeuristicConfig.heuristics_off(), sn=solution.sn
         )
         row.aviv_no_heuristics = off.instruction_count
         row.cpu_seconds_no_heuristics = off.cpu_seconds
-    if validate:
-        row.validated = _validate_end_to_end(load, machine)
     return row
+
+
+def _run_rows(
+    machine_key: str,
+    config: Optional[HeuristicConfig],
+    with_optimal: bool,
+    with_heuristics_off: bool,
+    optimal_budget: int,
+) -> List[ExperimentRow]:
+    """The :data:`PAPER_ROWS` on one machine, in order."""
+    rows: List[ExperimentRow] = []
+    for label, name, key, registers in PAPER_ROWS:
+        if key != machine_key:
+            continue
+        row = run_experiment(
+            workload(name),
+            BUILTIN_MACHINES[key](registers),
+            registers,
+            config,
+            with_optimal=with_optimal,
+            with_heuristics_off=with_heuristics_off,
+            optimal_budget=optimal_budget,
+        )
+        row.block = label
+        rows.append(row)
+    return rows
 
 
 def run_table1(
@@ -156,33 +191,9 @@ def run_table1(
 ) -> List[ExperimentRow]:
     """Table I: Ex1–Ex5 on the Fig. 3 architecture at 4 registers per
     file, then Ex6/Ex7 (= Ex4/Ex5) at 2 registers per file."""
-    rows: List[ExperimentRow] = []
-    for load in WORKLOADS:
-        rows.append(
-            run_experiment(
-                load,
-                example_architecture(4),
-                4,
-                config,
-                with_optimal=with_optimal,
-                with_heuristics_off=with_heuristics_off,
-                optimal_budget=optimal_budget,
-            )
-        )
-    for index, name in enumerate(("Ex4", "Ex5")):
-        load = next(w for w in WORKLOADS if w.name == name)
-        row = run_experiment(
-            load,
-            example_architecture(2),
-            2,
-            config,
-            with_optimal=with_optimal,
-            with_heuristics_off=with_heuristics_off,
-            optimal_budget=optimal_budget,
-        )
-        row.block = f"Ex{6 + index}"
-        rows.append(row)
-    return rows
+    return _run_rows(
+        "arch1", config, with_optimal, with_heuristics_off, optimal_budget
+    )
 
 
 def run_table2(
@@ -191,16 +202,4 @@ def run_table2(
     optimal_budget: int = DEFAULT_CONFLICT_BUDGET,
 ) -> List[ExperimentRow]:
     """Table II: Ex1–Ex5 on Architecture II (retargetability check)."""
-    rows: List[ExperimentRow] = []
-    for load in WORKLOADS:
-        rows.append(
-            run_experiment(
-                load,
-                architecture_two(4),
-                4,
-                config,
-                with_optimal=with_optimal,
-                optimal_budget=optimal_budget,
-            )
-        )
-    return rows
+    return _run_rows("arch2", config, with_optimal, False, optimal_budget)

@@ -1,10 +1,12 @@
-"""Table formatting for experiment results."""
+"""Table formatting for experiment results, and their
+``repro/bench-optimal/v1`` report."""
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Any, Dict, List
 
 from repro.eval.experiments import ExperimentRow
+from repro.optimal.bench import OPTIMAL_BENCH_SCHEMA, summarize_optimal_bench
 
 
 def _fmt_instr(row: ExperimentRow) -> str:
@@ -22,16 +24,17 @@ def _fmt_cpu(row: ExperimentRow) -> str:
 
 
 def _fmt_hand(row: ExperimentRow) -> str:
-    if row.by_hand is None:
+    if row.optimal is None:
         return "-"
-    return str(row.by_hand) if row.by_hand_proven else f"{row.by_hand}*"
+    cost = str(row.optimal.cost)
+    return cost if row.optimal.proven else f"{cost}*"
 
 
 def _fmt_gap(row: ExperimentRow) -> str:
-    if row.by_hand is None:
+    if row.optimal is None:
         return "-"
-    gap = f"+{row.aviv - row.by_hand}"
-    return gap if row.by_hand_proven else f"{gap}*"
+    gap = f"+{row.aviv - row.optimal.cost}"
+    return gap if row.optimal.proven else f"{gap}*"
 
 
 _HEADERS = [
@@ -77,20 +80,16 @@ def format_rows(rows: List[ExperimentRow], title: str = "") -> str:
     starred = [
         row
         for row in rows
-        if row.by_hand is not None and not row.by_hand_proven
+        if row.optimal is not None and not row.optimal.proven
     ]
     if starred:
         lines.append(
             "(* = conflict budget exhausted; value is an upper bound)"
         )
     for row in starred:
-        conflicts = row.by_hand_conflicts
-        budget = row.by_hand_budget
-        if conflicts is None or budget is None:
-            continue
         lines.append(
-            f"  * {row.block}: stopped after {conflicts} of "
-            f"{budget} conflict(s)"
+            f"  * {row.block}: stopped after {row.optimal.conflicts} of "
+            f"{row.optimal.conflict_budget} conflict(s)"
         )
     return "\n".join(lines)
 
@@ -138,3 +137,31 @@ def format_comparison(
         if index == 0:
             lines.append("  ".join("-" * w for w in widths))
     return "\n".join(lines)
+
+
+def optimal_bench_report(rows: List[ExperimentRow]) -> Dict[str, Any]:
+    """The ``repro/bench-optimal/v1`` report of solved rows: one entry
+    per row, AVIV's block length beside the solver's."""
+    entries = []
+    for row in rows:
+        solve = row.optimal
+        entries.append(
+            {
+                "workload": row.workload,
+                "machine": row.machine,
+                "registers": row.registers_per_file,
+                "heuristic_cost": solve.heuristic_cost,
+                "optimal_cost": solve.cost,
+                "gap": solve.gap,
+                "proven": solve.proven,
+                "spill_free": solve.spill_free,
+                "heuristic_spills": solve.heuristic_solution.spill_count,
+                "cpu_seconds": solve.cpu_seconds,
+                "solver": solve.stats_dict(),
+            }
+        )
+    return {
+        "schema": OPTIMAL_BENCH_SCHEMA,
+        "summary": summarize_optimal_bench(entries),
+        "entries": entries,
+    }

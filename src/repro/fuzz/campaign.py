@@ -32,6 +32,9 @@ from typing import Any, Callable, Dict, List, Optional, Union
 from repro.fuzz.corpus import save_reproducer
 from repro.fuzz.machgen import random_machine
 from repro.fuzz.oracle import (
+    DEFAULT_MAX_CYCLES,
+    DEFAULT_MAX_STEPS,
+    DEFAULT_OPTIMAL_BUDGET,
     CaseResult,
     FuzzCase,
     Outcome,
@@ -184,12 +187,12 @@ def run_campaign(
     max_shrink_evaluations: int = 200,
     post_compile_hook: Optional[PostCompileHook] = None,
     progress: Optional[Callable[[int, CaseResult], None]] = None,
-    max_steps: int = 20_000,
-    max_cycles: int = 200_000,
+    max_steps: int = DEFAULT_MAX_STEPS,
+    max_cycles: int = DEFAULT_MAX_CYCLES,
     validate: bool = True,
     cache_dir: Optional[str] = None,
     optimal_oracle: bool = False,
-    optimal_budget: int = 20_000,
+    optimal_budget: int = DEFAULT_OPTIMAL_BUDGET,
 ) -> CampaignStats:
     """Run one fuzz campaign and return its statistics.
 

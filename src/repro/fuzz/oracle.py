@@ -39,6 +39,13 @@ from repro.isdl.parser import parse_machine
 from repro.simulator.executor import run_program
 from repro.verify import verify_function
 
+#: Interpreter block executions allowed per case.
+DEFAULT_MAX_STEPS = 20_000
+#: Simulator cycles allowed per case.
+DEFAULT_MAX_CYCLES = 200_000
+#: CDCL conflict budget per block solve of the optimal oracle.
+DEFAULT_OPTIMAL_BUDGET = 20_000
+
 
 class Outcome(enum.Enum):
     """Classification of one differential run."""
@@ -182,12 +189,12 @@ def _crash_detail(error: BaseException) -> str:
 def run_case(
     case: FuzzCase,
     post_compile_hook: Optional[PostCompileHook] = None,
-    max_steps: int = 20_000,
-    max_cycles: int = 200_000,
+    max_steps: int = DEFAULT_MAX_STEPS,
+    max_cycles: int = DEFAULT_MAX_CYCLES,
     validate: bool = True,
     cache_dir: Optional[str] = None,
     optimal_oracle: bool = False,
-    optimal_budget: int = 20_000,
+    optimal_budget: int = DEFAULT_OPTIMAL_BUDGET,
 ) -> CaseResult:
     """Run one case through the full differential pipeline.
 

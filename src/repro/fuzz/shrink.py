@@ -30,7 +30,15 @@ from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.frontend import ast
 from repro.frontend.parser import parse_program
-from repro.fuzz.oracle import CaseResult, FuzzCase, Outcome, PostCompileHook, run_case
+from repro.fuzz.oracle import (
+    DEFAULT_MAX_CYCLES,
+    DEFAULT_MAX_STEPS,
+    CaseResult,
+    FuzzCase,
+    Outcome,
+    PostCompileHook,
+    run_case,
+)
 from repro.fuzz.render import render_program
 from repro.isdl.model import Machine
 from repro.isdl.writer import machine_to_isdl
@@ -237,8 +245,8 @@ def shrink_case(
     target: Optional[CaseResult] = None,
     post_compile_hook: Optional[PostCompileHook] = None,
     max_evaluations: int = 300,
-    max_steps: int = 20_000,
-    max_cycles: int = 200_000,
+    max_steps: int = DEFAULT_MAX_STEPS,
+    max_cycles: int = DEFAULT_MAX_CYCLES,
     validate: bool = True,
 ) -> ShrinkResult:
     """Minimize ``case`` while preserving its failure outcome.

@@ -13,6 +13,8 @@ Entry point: :func:`optimal_block_solution` — returns an
 :class:`OptimalSolveResult` carrying the best cost, whether it is
 *proven* optimal (within the search scope), the certified solver
 schedule when it beats the heuristic, and full solver statistics.
+:mod:`repro.optimal.bench` declares the ``repro/bench-optimal/v1``
+report that ``repro tables --json`` writes from these results.
 
 Scope and honesty (details in ``docs/optimality.md``):
 
@@ -45,13 +47,7 @@ from repro.covering.solution import BlockSolution
 from repro.covering.taskgraph import TaskGraph
 from repro.ir.dag import BlockDAG
 from repro.isdl.model import Machine
-from repro.optimal.bench import (
-    GAP_WORKLOADS,
-    OPTIMAL_BENCH_SCHEMA,
-    collect_optimal_bench,
-    format_gap_table,
-    summarize_optimal_bench,
-)
+from repro.optimal.bench import OPTIMAL_BENCH_SCHEMA, summarize_optimal_bench
 from repro.optimal.certify import certify_solution, solution_from_model
 from repro.optimal.encoding import AssignmentEncoding
 from repro.optimal.solver import BoundsPropagator, CDCLSolver, SolverStats
@@ -61,15 +57,12 @@ from repro.telemetry.session import current as _telemetry
 
 __all__ = [
     "AssignmentEncoding",
-    "GAP_WORKLOADS",
     "BoundsPropagator",
     "CDCLSolver",
     "OPTIMAL_BENCH_SCHEMA",
     "OptimalSolveResult",
     "SolverStats",
     "certify_solution",
-    "collect_optimal_bench",
-    "format_gap_table",
     "optimal_block_solution",
     "solution_from_model",
     "summarize_optimal_bench",

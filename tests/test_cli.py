@@ -470,7 +470,7 @@ class TestUnwritableOutput:
             ["profile", "{program}", "-m", "arch1", "--trace-out", "{out}"],
             ["batch", "{program}", "-m", "arch1", "--json", "{out}"],
             ["batch", "{program}", "-m", "arch1", "--metrics-out", "{out}"],
-            ["gap", "--workload", "Ex1", "--json", "{out}"],
+            ["tables", "--table", "2", "--json", "{out}"],
             ["explore", "--population", "1", "--json", "{out}"],
             ["explore", "--population", "1", "--json", "-",
              "--metrics-out", "{out}"],

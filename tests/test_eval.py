@@ -3,6 +3,7 @@
 import pytest
 
 from repro.asmgen.program import compile_dag
+from repro.covering import HeuristicConfig
 from repro.errors import ReproError
 from repro.eval import (
     PAPER_TABLE1,
@@ -67,8 +68,29 @@ class TestRunExperiment:
         assert row.original_nodes == 8
         assert row.split_node_nodes > row.original_nodes
         assert row.validated
-        assert row.by_hand is not None
-        assert row.by_hand <= row.aviv
+        assert row.workload == "Ex1"
+        assert row.optimal is not None
+        assert row.optimal.cost <= row.aviv
+
+    @pytest.mark.parametrize(
+        "config",
+        [None, HeuristicConfig.default().with_(num_assignments=2)],
+        ids=["default", "two-assignments"],
+    )
+    def test_one_compile_per_row(self, config):
+        # Valid checks the program the Aviv column counts: one compile
+        # per row, under the row's own config.
+        session = TelemetrySession()
+        with use_session(session):
+            row = run_experiment(
+                workload("Ex2"),
+                example_architecture(4),
+                4,
+                config,
+                with_optimal=False,
+            )
+        assert row.validated
+        assert session.counter("covering.blocks") == 1
 
     def test_heuristics_off_column(self):
         row = run_experiment(
@@ -90,22 +112,18 @@ class TestRunExperiment:
     def test_architecture_two_shrinks_split_node_dag(self):
         big = run_experiment(
             workload("Ex1"), example_architecture(4), 4, with_optimal=False,
-            validate=False,
         )
         small = run_experiment(
             workload("Ex1"), architecture_two(4), 4, with_optimal=False,
-            validate=False,
         )
         assert small.split_node_nodes < big.split_node_nodes
 
     def test_small_register_files_cost_more(self):
         plenty = run_experiment(
             workload("Ex4"), example_architecture(4), 4, with_optimal=False,
-            validate=False,
         )
         scarce = run_experiment(
             workload("Ex4"), example_architecture(2), 2, with_optimal=False,
-            validate=False,
         )
         assert scarce.aviv >= plenty.aviv
 
@@ -163,7 +181,6 @@ class TestReporting:
                 example_architecture(4),
                 4,
                 with_optimal=False,
-                validate=False,
             )
         ]
 

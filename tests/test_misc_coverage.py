@@ -139,22 +139,24 @@ class TestPipelineCustomisation:
 
 class TestReportingEdgeCases:
     @staticmethod
-    def _row(by_hand, proven):
-        from repro.eval.experiments import ExperimentRow
+    def _row(cost, proven):
+        """A row whose Optimal cell reads ``cost`` (``None``: unsolved),
+        its solve taken from one real Ex1 solve."""
+        import dataclasses
 
-        return ExperimentRow(
-            block="Ex1",
-            machine="m",
-            original_nodes=3,
-            split_node_nodes=9,
-            registers_per_file=4,
-            spills_inserted=0,
-            by_hand=by_hand,
-            by_hand_proven=proven,
-            aviv=6,
-            cpu_seconds=0.01,
-            validated=True,
+        from repro.eval import run_experiment, workload
+
+        row = run_experiment(
+            workload("Ex1"), example_architecture(4), 4, optimal_budget=0
         )
+        row.aviv = 6
+        if cost is None:
+            row.optimal = None
+        else:
+            row.optimal = dataclasses.replace(
+                row.optimal, cost=cost, proven=proven
+            )
+        return row
 
     def test_unproven_optimal_gets_asterisk(self):
         from repro.eval.reporting import format_rows
@@ -174,14 +176,14 @@ class TestReportingEdgeCases:
         assert "(* =" in format_rows([self._row(5, False)])
 
     @pytest.mark.parametrize(
-        "by_hand, proven, cell",
+        "cost, proven, cell",
         [(None, False, "-"), (5, False, "+1*"), (5, True, "+1")],
     )
-    def test_comparison_gap_cell(self, by_hand, proven, cell):
+    def test_comparison_gap_cell(self, cost, proven, cell):
         from repro.eval.experiments import PAPER_TABLE1
         from repro.eval.reporting import format_comparison
 
-        text = format_comparison([self._row(by_hand, proven)], PAPER_TABLE1)
+        text = format_comparison([self._row(cost, proven)], PAPER_TABLE1)
         assert text.splitlines()[-1].endswith(f" {cell} [paper +0]")
 
 

@@ -1,6 +1,8 @@
 """Tests for the optimal backend: driver honesty, engine plumbing,
 fuzz-oracle wiring, explain integration, and the gap-bench schema."""
 
+import copy
+
 import pytest
 
 from repro.asmgen.emit import emit_block
@@ -17,11 +19,15 @@ from repro.ir import BasicBlock
 from repro.isdl import example_architecture
 from repro.isdl.builtin_machines import BUILTIN_MACHINES
 from repro.artifacts import validate
+from repro.eval import (
+    PAPER_ROWS,
+    optimal_bench_report,
+    run_experiment,
+    workload,
+)
 from repro.optimal import (
-    GAP_WORKLOADS,
     OPTIMAL_BENCH_SCHEMA,
     OptimalSolveResult,
-    collect_optimal_bench,
     optimal_block_solution,
     summarize_optimal_bench,
 )
@@ -267,17 +273,24 @@ class TestFuzzOracle:
 
     def test_gap_workloads_exact(self):
         # The exact heuristic-vs-proven-optimal gap of every 4-register
-        # gap workload, Ex1..Ex5 on each machine.
-        rows = [row for row in GAP_WORKLOADS if row[2] == 4]
-        entries = collect_optimal_bench(workloads=rows)
+        # table row, Ex1..Ex5 on each machine.
+        report = optimal_bench_report(
+            [
+                run_experiment(
+                    workload(name), BUILTIN_MACHINES[key](registers), registers
+                )
+                for _, name, key, registers in PAPER_ROWS
+                if registers == 4
+            ]
+        )
         gaps = {}
-        for entry in entries:
+        for entry in report["entries"]:
             gaps.setdefault(entry["machine"], []).append(entry["gap"])
         assert gaps == {
             "arch1_r4": [0, 1, 0, 1, 3],
             "arch2_r4": [0, 1, 0, 2, 1],
         }
-        assert summarize_optimal_bench(entries) == {
+        assert report["summary"] == {
             "blocks": 10, "proven": 10, "improved": 6, "gap_cycles": 9,
             "budget_exhausted": 0,
         }
@@ -304,81 +317,56 @@ class TestFuzzOracle:
 
 
 class TestBenchSchema:
-    def _entry(self, **overrides):
-        entry = {
-            "workload": "Ex1",
-            "machine": "arch1_r4",
-            "registers": 4,
-            "heuristic_cost": 7,
-            "optimal_cost": 7,
-            "gap": 0,
-            "proven": True,
-            "spill_free": True,
-            "heuristic_spills": 0,
-            "cpu_seconds": 0.1,
-            "solver": {
-                "assignments_searched": 1,
-                "unsat_assignments": 1,
-                "sat_calls": 2,
-                "conflicts": 3,
-                "decisions": 4,
-                "propagations": 5,
-                "learned_clauses": 1,
-                "restarts": 0,
-                "variables": 10,
-                "clauses": 20,
-                "conflict_budget": 1000,
-                "budget_exhausted": False,
-            },
-        }
-        entry.update(overrides)
-        return entry
+    @pytest.fixture(scope="class")
+    def solved(self):
+        """The report of one real table row: Ex1 on arch1."""
+        row = run_experiment(workload("Ex1"), example_architecture(4), 4)
+        return optimal_bench_report([row])
 
-    def _report(self, entries):
-        return {
-            "schema": OPTIMAL_BENCH_SCHEMA,
-            "summary": summarize_optimal_bench(entries),
-            "entries": entries,
-        }
+    @pytest.fixture
+    def report(self, solved):
+        return copy.deepcopy(solved)
 
-    def test_valid_report_passes(self):
-        validate(self._report([self._entry()]), OPTIMAL_BENCH_SCHEMA)
+    @staticmethod
+    def _edit(report, **overrides):
+        """Edit the report's entry and recompute its totals, so only the
+        edited rule can reject it."""
+        report["entries"][0].update(overrides)
+        report["summary"] = summarize_optimal_bench(report["entries"])
 
-    def test_schema_tag_required(self):
-        report = self._report([self._entry()])
+    def test_valid_report_passes(self, report):
+        validate(report, OPTIMAL_BENCH_SCHEMA)
+        assert report["summary"]["blocks"] == 1
+
+    def test_schema_tag_required(self, report):
         report["schema"] = "repro/bench-optimal/v0"
         with pytest.raises(ValueError):
             validate(report, OPTIMAL_BENCH_SCHEMA)
 
-    def test_gap_arithmetic_checked(self):
-        report = self._report([self._entry(gap=2)])
+    def test_gap_arithmetic_checked(self, report):
+        self._edit(report, gap=2)
         with pytest.raises(ValueError):
             validate(report, OPTIMAL_BENCH_SCHEMA)
 
-    def test_negative_gap_rejected(self):
-        report = self._report(
-            [self._entry(optimal_cost=9, gap=-2)]
+    def test_negative_gap_rejected(self, report):
+        entry = report["entries"][0]
+        self._edit(
+            report, optimal_cost=entry["heuristic_cost"] + 2, gap=-2
         )
         with pytest.raises(ValueError):
             validate(report, OPTIMAL_BENCH_SCHEMA)
 
-    def test_proven_with_exhausted_budget_is_contradiction(self):
-        entry = self._entry()
-        entry["solver"]["budget_exhausted"] = True
-        report = self._report([entry])
+    def test_proven_with_exhausted_budget_is_contradiction(self, report):
+        report["entries"][0]["solver"]["budget_exhausted"] = True
+        self._edit(report)
         with pytest.raises(ValueError):
             validate(report, OPTIMAL_BENCH_SCHEMA)
 
-    def test_summary_mismatch_rejected(self):
-        report = self._report([self._entry()])
+    def test_summary_mismatch_rejected(self, report):
         report["summary"]["proven"] = 0
         with pytest.raises(ValueError):
             validate(report, OPTIMAL_BENCH_SCHEMA)
 
     def test_empty_entries_rejected(self):
         with pytest.raises(ValueError):
-            validate(
-                {"schema": "repro/bench-optimal/v1", "entries": [],
-                 "summary": {}},
-                OPTIMAL_BENCH_SCHEMA,
-            )
+            validate(optimal_bench_report([]), OPTIMAL_BENCH_SCHEMA)
