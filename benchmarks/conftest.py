@@ -32,6 +32,18 @@ def write_result(name: str, text: str) -> pathlib.Path:
     return path
 
 
+@pytest.fixture(scope="session")
+def table_rows():
+    """Tables I and II with the optimal column, ``{1: rows, 2: rows}``:
+    solved once per session for every bench that reads them."""
+    from repro.eval import run_table1, run_table2
+
+    return {
+        1: run_table1(with_optimal=True, with_heuristics_off=full_mode()),
+        2: run_table2(with_optimal=True),
+    }
+
+
 @pytest.fixture
 def results_dir():
     RESULTS_DIR.mkdir(exist_ok=True)

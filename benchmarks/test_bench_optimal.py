@@ -1,9 +1,10 @@
 """Corpus-wide optimality gap — ``results/BENCH_optimal.json``.
 
-Re-solves the rows of Tables I and II to proven minimality with the
-constraint-solver backend and compares the heuristic engine's block
-lengths against the proofs (schema ``repro/bench-optimal/v1``, the
-report ``repro tables --json`` writes).  This turns the paper's
+Builds the report ``repro tables --json`` writes (schema
+``repro/bench-optimal/v1``) from the rows of Tables I and II, which the
+session's ``table_rows`` fixture solves once to proven minimality with
+the constraint-solver backend, and compares the heuristic engine's
+block lengths against the proofs.  This turns the paper's
 "hand-coded optimal" column into a regenerable artifact: the summary
 says how many blocks the heuristic left cycles on, and by how much.
 The exact gaps of the 4-register rows are pinned by
@@ -18,25 +19,18 @@ the heuristic).
 from __future__ import annotations
 
 from repro.artifacts import read_artifact, validate, write_artifact
-from repro.eval import (
-    optimal_bench_report,
-    run_experiment,
-    run_table1,
-    run_table2,
-    workload,
-)
+from repro.eval import optimal_bench_report, run_experiment, workload
 from repro.isdl import example_architecture
 from repro.optimal import OPTIMAL_BENCH_SCHEMA
 
 
-def test_bench_optimal_gap(benchmark, results_dir):
-    rows = benchmark.pedantic(
-        lambda: run_table1() + run_table2(),
+def test_bench_optimal_gap(benchmark, results_dir, table_rows):
+    payload = benchmark.pedantic(
+        lambda: optimal_bench_report(table_rows[1] + table_rows[2]),
         rounds=1,
         iterations=1,
     )
     path = results_dir / "BENCH_optimal.json"
-    payload = optimal_bench_report(rows)
     write_artifact(path, payload)
     read_artifact(path, OPTIMAL_BENCH_SCHEMA)  # round-trips schema-valid
 

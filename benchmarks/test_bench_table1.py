@@ -14,8 +14,6 @@ code but takes far longer.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.eval import (
     PAPER_TABLE1,
     format_comparison,
@@ -26,13 +24,9 @@ from repro.eval import (
 from conftest import full_mode, write_result
 
 
-@pytest.fixture(scope="module")
-def table1_rows():
-    return run_table1(with_optimal=True, with_heuristics_off=full_mode())
-
-
-def test_bench_table1(benchmark, table1_rows):
-    rows = benchmark.pedantic(
+def test_bench_table1(benchmark, table_rows):
+    table1_rows = table_rows[1]
+    benchmark.pedantic(
         lambda: run_table1(with_optimal=False), rounds=1, iterations=1
     )
     text = format_rows(table1_rows, "Table I — example target architecture")

@@ -11,8 +11,6 @@ of instructions) despite a third of the datapath disappearing.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.eval import (
     PAPER_TABLE2,
     format_comparison,
@@ -24,12 +22,8 @@ from repro.eval import (
 from conftest import write_result
 
 
-@pytest.fixture(scope="module")
-def table2_rows():
-    return run_table2(with_optimal=True)
-
-
-def test_bench_table2(benchmark, table2_rows):
+def test_bench_table2(benchmark, table_rows):
+    table2_rows = table_rows[2]
     benchmark.pedantic(
         lambda: run_table2(with_optimal=False), rounds=1, iterations=1
     )
@@ -44,9 +38,10 @@ def test_bench_table2(benchmark, table2_rows):
         assert row.aviv - row.optimal.cost <= 4
 
 
-def test_bench_table2_vs_table1_shape(benchmark, table2_rows):
+def test_bench_table2_vs_table1_shape(benchmark, table_rows):
     """Cross-table shape: smaller machine -> smaller Split-Node DAG,
     and similar code quality (paper: within ~1 instruction per block)."""
+    table2_rows = table_rows[2]
     rows1 = benchmark.pedantic(
         lambda: run_table1(with_optimal=False), rounds=1, iterations=1
     )

@@ -30,7 +30,6 @@ from repro.isdl.model import Machine
 from repro.covering.assignment import Assignment
 from repro.covering.cliques import is_legal_instruction
 from repro.covering.cover import _choose_spill_victim  # shared spill policy
-from repro.covering.config import HeuristicConfig
 from repro.covering.pressure import PressureTracker
 from repro.covering.solution import BlockSolution
 from repro.covering.taskgraph import TaskGraph
@@ -118,6 +117,7 @@ def sequential_block_solution(
                     continue
                 raise CoverageError("list scheduler: no ready task")
             cycle: Set[int] = set()
+            cycle_mask = 0
             resources: Set[str] = set()
             for task_id in ready:
                 task = graph.tasks[task_id]
@@ -128,9 +128,10 @@ def sequential_block_solution(
                     graph, frozenset(candidate), machine
                 ):
                     continue
-                if not tracker.feasible(candidate):
+                if not tracker.feasible(cycle_mask | 1 << task_id):
                     continue
                 cycle.add(task_id)
+                cycle_mask |= 1 << task_id
                 resources.add(task.resource)
             if not cycle:
                 spills += 1

@@ -128,7 +128,6 @@ from typing import List, Optional
 
 from repro.errors import ReproError
 from repro.frontend import compile_source
-from repro.fuzz.oracle import DEFAULT_OPTIMAL_BUDGET
 from repro.ir.interp import interpret_function
 from repro.isdl.builtin_machines import BUILTIN_MACHINES
 from repro.isdl.model import Machine
@@ -467,6 +466,7 @@ def _cmd_tables(args) -> int:
 
 def _cmd_fuzz(args) -> int:
     from repro.fuzz import replay_file, run_campaign
+    from repro.fuzz.oracle import DEFAULT_OPTIMAL_BUDGET
 
     if args.replay:
         try:
@@ -497,7 +497,11 @@ def _cmd_fuzz(args) -> int:
         progress=progress,
         cache_dir=args.cache_dir,
         optimal_oracle=args.optimal_oracle,
-        optimal_budget=args.optimal_budget,
+        optimal_budget=(
+            DEFAULT_OPTIMAL_BUDGET
+            if args.optimal_budget is None
+            else args.optimal_budget
+        ),
     )
     print(stats.summary())
     return 1 if stats.failure_count else 0
@@ -1126,10 +1130,9 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz.add_argument(
         "--optimal-budget",
         type=int,
-        default=DEFAULT_OPTIMAL_BUDGET,
         metavar="N",
         help="CDCL conflict budget per optimal-oracle solve "
-        "(default %(default)s)",
+        "(default: the fuzz oracle's)",
     )
 
     batch = commands.add_parser(

@@ -16,11 +16,9 @@ in-depth covering.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
-from repro.ir.dag import BlockDAG
 from repro.ir.ops import Opcode, is_leaf
-from repro.isdl.model import Machine
 from repro.covering.config import HeuristicConfig
 from repro.sndag.build import SplitNodeDAG
 from repro.sndag.nodes import Alternative
@@ -107,8 +105,34 @@ class _Partial:
         return _Partial(choice, self.cost + increment, absorbed, roots)
 
 
+@dataclass(frozen=True)
+class _FixedCost:
+    """The part of one (op, alternative) cost no partial assignment
+    changes."""
+
+    register_file: str
+    #: store-consumer and leaf-load hops
+    base: int
+    #: non-store consumers of the root outside the alternative
+    consumers: Tuple[int, ...]
+    #: nodes with a dependence path to or from the root
+    dependent: int
+    #: ``dependent`` plus the alternative's own ops: same-unit roots
+    #: that forgo no grouping
+    grouped: int
+    bank_size: int
+
+
 class _CostModel:
-    """Computes the incremental cost of binding one split node."""
+    """Computes the incremental cost of binding one split node.
+
+    The parts of a cost that depend only on the (op, alternative) pair —
+    its register file, the store and leaf-load hops, the consumers a
+    transfer may reach, and one dependence mask for the root — are
+    worked out on the pair's first cost and kept for the model's life
+    (one :func:`explore_assignments` call).  Only the terms that read
+    the partial assignment are computed per call.
+    """
 
     def __init__(
         self, sn: SplitNodeDAG, config: Optional[HeuristicConfig] = None
@@ -121,11 +145,16 @@ class _CostModel:
         # Dependence between operations: q depends on s if s is reachable
         # from q through operand edges.
         closure = transitive_closure(self.dag.adjacency())
-        self._descendants = closure
-
-    def independent(self, a: int, b: int) -> bool:
-        """True when no dependence path connects the two original nodes."""
-        return b not in self._descendants[a] and a not in self._descendants[b]
+        #: per node, the nodes it has a dependence path to or from
+        self._dependent: Dict[int, int] = dict.fromkeys(closure, 0)
+        for node, descendants in closure.items():
+            for other in descendants:
+                self._dependent[node] |= 1 << other
+                self._dependent[other] |= 1 << node
+        self._register_file = {
+            unit.name: unit.register_file for unit in self.machine.units
+        }
+        self._fixed: Dict[Tuple[int, Alternative], _FixedCost] = {}
 
     def distance(self, source: str, destination: str) -> int:
         """Bus-hop distance between two storages.
@@ -150,40 +179,63 @@ class _CostModel:
           operation placed on the same unit (a grouping opportunity
           irrevocably lost).
         """
-        machine = self.machine
-        rf = machine.unit(alternative.unit).register_file
-        cost = 0
-        covered = set(alternative.covers)
+        fixed = self._fixed.get((op_id, alternative))
+        if fixed is None:
+            fixed = self._fixed[(op_id, alternative)] = self._fix(
+                op_id, alternative
+            )
+        rf = fixed.register_file
+        cost = fixed.base
         # Transfers to already-assigned consumers of the produced value.
-        root = alternative.covers[0]
-        for consumer_id in self.consumers.get(root, ()):  # users of root's value
-            consumer = self.dag.node(consumer_id)
-            if consumer.opcode is Opcode.STORE:
-                cost += self.distance(rf, machine.data_memory)
-                continue
+        for consumer_id in fixed.consumers:
             chosen = partial.choice.get(consumer_id)
-            if chosen is None or consumer_id in covered:
-                continue
-            consumer_rf = machine.unit(chosen.unit).register_file
-            cost += self.distance(rf, consumer_rf)
-        # Loads for leaf operands of the alternative.
-        operand_ids = self._operands_of(op_id, alternative)
-        for operand_id in operand_ids:
-            if is_leaf(self.dag.node(operand_id).opcode):
-                cost += self.distance(machine.data_memory, rf)
+            if chosen is not None:
+                cost += self.distance(rf, self._register_file[chosen.unit])
         # Parallelism foregone against every already-assigned operation
         # on the same unit (only the root of a complex op occupies it).
-        for other_id in partial.roots.get(alternative.unit, ()):
-            if other_id in covered or other_id in partial.absorbed:
-                continue
-            if self.independent(other_id, root):
+        roots = partial.roots.get(alternative.unit, ())
+        for other_id in roots:
+            if not (fixed.grouped >> other_id) & 1 and (
+                other_id not in partial.absorbed
+            ):
                 cost += 1
         if self.config.register_aware_assignment:
-            cost += self._register_penalty(partial, root, alternative)
+            cost += self._register_penalty(partial, fixed, roots)
         return cost
 
+    def _fix(self, op_id: int, alternative: Alternative) -> _FixedCost:
+        """The partial-independent part of ``alternative``'s cost."""
+        machine = self.machine
+        rf = self._register_file[alternative.unit]
+        root = alternative.covers[0]
+        covers = 0
+        for covered_id in alternative.covers:
+            covers |= 1 << covered_id
+        # The split-node DAG build checked that every value it stores can
+        # reach data memory and every leaf operand can be loaded, so
+        # these hops never raise ahead of a consumer transfer.
+        base = 0
+        consumers = []
+        for consumer_id in self.consumers.get(root, ()):
+            if self.dag.node(consumer_id).opcode is Opcode.STORE:
+                base += self.distance(rf, machine.data_memory)
+            elif not (covers >> consumer_id) & 1:
+                consumers.append(consumer_id)
+        for operand_id in self._operands_of(op_id, alternative):
+            if is_leaf(self.dag.node(operand_id).opcode):
+                base += self.distance(machine.data_memory, rf)
+        dependent = self._dependent[root]
+        return _FixedCost(
+            register_file=rf,
+            base=base,
+            consumers=tuple(consumers),
+            dependent=dependent,
+            grouped=dependent | covers,
+            bank_size=machine.rf_of_unit(alternative.unit).size,
+        )
+
     def _register_penalty(
-        self, partial: _Partial, root: int, alternative: Alternative
+        self, partial: _Partial, fixed: _FixedCost, roots: Tuple[int, ...]
     ) -> int:
         """Penalty for likely spills (the paper's ongoing-work extension).
 
@@ -195,15 +247,13 @@ class _CostModel:
         ``spill_penalty`` units, steering the beam away from assignments
         the covering step would have to rescue with loads and spills.
         """
-        machine = self.machine
-        bank_size = machine.rf_of_unit(alternative.unit).size
         overlapping = 1  # our own result
-        for other_id in partial.roots.get(alternative.unit, ()):
+        for other_id in roots:
             if other_id in partial.absorbed:
                 continue
-            if self.independent(other_id, root):
+            if not (fixed.dependent >> other_id) & 1:
                 overlapping += 1
-        excess = overlapping - bank_size
+        excess = overlapping - fixed.bank_size
         if excess <= 0:
             return 0
         return excess * self.config.spill_penalty

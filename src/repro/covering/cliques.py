@@ -10,6 +10,10 @@ reached.
 instruction is compared with the ISDL constraints; an illegal grouping
 is split into smaller cliques until every constraint is met.
 
+Both return distinct masks in no promised order: no covering decision
+reads it, so neither pays to sort.  Only the ``clique.split`` journal
+sees the order, and legalization fixes it while the journal is on.
+
 The paper-literal versions of both — the Fig. 8 recursion over a
 conflict matrix and a pairwise subsumption filter — live on as a
 test-only differential oracle in ``tests/reference_kernel.py``.
@@ -89,6 +93,11 @@ def _pivot_clique_masks(
     that intersects it.
     """
     found: Set[int] = set()
+    everything = 0
+    for node in rows:
+        everything |= 1 << node
+    if not everything or (restrict and not everything & restrict):
+        return found
 
     def expand(members: int, candidates: int, excluded: int) -> None:
         # ``candidates`` is non-empty and ``members | candidates`` meets
@@ -121,15 +130,15 @@ def _pivot_clique_masks(
             excluded |= low
             rest ^= low
 
-    everything = 0
-    for node in rows:
-        everything |= 1 << node
-    if not everything or (restrict and not everything & restrict):
-        return found
     try:
         expand(0, everything, 0)
     except _CliqueBudgetExceeded:
         return None
+    finally:
+        # ``expand`` reaches itself through its closure; breaking that
+        # cycle frees ``found`` with its last reference instead of at
+        # the next garbage collection.
+        del expand
     return found
 
 
@@ -206,6 +215,8 @@ def _fig8_clique_masks(
             gen(1 << seed, rows[seed], seed)
     except _CliqueBudgetExceeded:
         tripped = True
+    finally:
+        del gen  # as in _pivot_clique_masks: free ``visited`` now
     return found, tripped, stats
 
 
@@ -216,9 +227,9 @@ def generate_maximal_clique_masks(
 
     Input rows come from
     :func:`repro.covering.parallelism.parallelism_masks` (task-id bit
-    space); output cliques are ints with one bit per member task,
-    ordered by size descending then lexicographically.  Every node
-    appears in at least one clique; a clique may contain a single node.
+    space); output cliques are distinct ints with one bit per member
+    task, in no promised order.  Every node appears in at least one
+    clique; a clique may contain a single node.
 
     ``max_cliques`` bounds the enumeration — the paper calls clique
     generation "the most time consuming portion of our algorithm".  When
@@ -247,7 +258,7 @@ def generate_maximal_clique_masks(
         tm.count("cliques.budget_trips", 1 if tripped else 0)
         tm.count("cliques.singleton_topups", singleton_topups)
         tm.record("cliques.matrix_size", len(rows))
-    return sorted(found, key=lambda m: (-popcount(m), bits(m)))
+    return list(found)
 
 
 def _matches_term(task: Task, resource: str, op_name: str) -> bool:
@@ -318,10 +329,15 @@ def legalize_clique_masks(
     """Split illegal cliques until every instruction meets the
     constraints (IV-C.3), dropping results subsumed by larger cliques.
 
-    Cliques are ints in task-id bit space.  Raises
-    :class:`CoverageError` when a task present in the input falls out of
-    every legal clique (its singleton grouping already violates a
-    constraint) — covering could never schedule it.
+    Cliques are ints in task-id bit space; the result holds distinct
+    masks in no promised order.  The legal set is the closure of the
+    split rule over the input, whatever order the worklist takes, so
+    only the journal sees that order: with the journal on, the worklist
+    is first sorted by size descending, then members, so ``clique.split``
+    events come out in one fixed order.  Raises :class:`CoverageError`
+    when a task present in the input falls out of every legal clique
+    (its singleton grouping already violates a constraint) — covering
+    could never schedule it.
     """
     if not machine.constraints:
         return list(cliques)
@@ -340,6 +356,8 @@ def legalize_clique_masks(
     jr = _telemetry().journal
     legal: Set[int] = set()
     work = list(cliques)
+    if jr.enabled:
+        work.sort(key=lambda m: (-popcount(m), bits(m)))
     seen: Set[int] = set()
     splits = 0
     while work:
@@ -385,7 +403,7 @@ def legalize_clique_masks(
         _raise_uncoverable(
             graph, machine, set(iter_bits(requested & ~covered))
         )
-    return sorted(result, key=lambda m: (-popcount(m), bits(m)))
+    return result
 
 
 def _drop_subsumed(cliques: Set[int]) -> List[int]:

@@ -11,20 +11,25 @@ the spill will cause — the task graph is augmented with load/spill
 transfers (Fig. 9), and the maximal cliques are regenerated.
 
 Cliques, ready/admissible sets, and parallelism rows are integer
-bitmasks; the ready set is maintained incrementally; after a spill only
-the cliques whose members touch the rewired subgraph are re-enumerated
-(:class:`_MaskCliqueCache`).  The straightforward loop this one was
-derived from — ready set recomputed every cycle, every clique rebuilt
-after a spill — is kept as a test-only differential oracle
-(``tests/reference_kernel.py``); the ``hotpath`` tests check that both
-make the same decision at every step.
+bitmasks, and clique lists carry no order (every selection key is unique
+per mask).  State lives across the whole cover and is kept current
+rather than rebuilt per decision: the ready set, the lookahead tables
+(:class:`_Lookahead`) and the remaining-work floor are updated per
+committed clique and recounted after a spill; the register tracker
+answers feasibility on masks from one view per cycle; and after a spill
+only the cliques whose members touch the rewired subgraph are
+re-enumerated (:class:`_MaskCliqueCache`).  The straightforward loop
+this one was derived from — ready set recomputed every cycle, every
+clique rebuilt after a spill, feasibility over member sets — is kept as
+a test-only differential oracle (``tests/reference_kernel.py``); the
+``hotpath`` tests check that both make the same decision at every step.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.errors import CoverageError
 from repro.covering.cliques import (
@@ -123,28 +128,37 @@ def _journal_step(
 
 class _Lookahead:
     """The lookahead estimate of cliques still needed (paper IV-D's
-    tie-break), for every candidate of one decision.
+    tie-break), kept current over one cover.
 
     The estimate for a candidate ``c`` is, over ``uncovered - c``, the
     busiest resource's task count or the longest dependence chain,
-    whichever is larger.  Two tables built once per decision make each
-    candidate O(|c|):
+    whichever is larger.  Two tables make each candidate O(|c| + number
+    of resources):
 
-    - the per-resource task counts of the uncovered set, busiest first;
-    - for each uncovered task, the longest chain of uncovered consumers
-      above it (itself included), longest first.
+    - the per-resource task counts of the uncovered set;
+    - for each uncovered task, its height: the longest chain of
+      uncovered consumers above it (itself included), plus the number of
+      uncovered tasks at each height.
 
     Every candidate member is ready, so it has no uncovered dependency:
     it can only sit at the bottom of a chain, and removing it shortens
-    no chain above any other task.  The longest chain left is therefore
-    the first table entry whose task is not in ``c``, and the busiest
-    resource left is either one ``c`` touches (recounted) or the first
-    count entry it does not touch — each found within |c| + 1 steps.
-    The empty candidate scores the whole uncovered set.
+    no chain above any other task.  So the heights stay exact when a
+    clique of ready tasks commits — :meth:`commit` only takes its
+    members out of the counts — and only a spill, which rewires the
+    graph, needs :meth:`recount`.  A task of height h > 1 has an
+    uncovered consumer of height h - 1, so the occupied heights run
+    from 1 to the top without a gap; the longest chain left is the
+    highest height ``c`` does not empty, found within |c| + 1 steps
+    down from the top.  The empty candidate scores the whole uncovered
+    set.
     """
 
     def __init__(self, graph: TaskGraph, uncovered: Set[int]) -> None:
         self.graph = graph
+        self.recount(graph, uncovered)
+
+    def recount(self, graph: TaskGraph, uncovered: Set[int]) -> None:
+        """Build both tables over ``uncovered`` from scratch."""
         self.counts: Dict[str, int] = {}
         below: Dict[int, List[int]] = {}
         #: uncovered consumers of each task whose height is not final yet
@@ -159,58 +173,69 @@ class _Lookahead:
                 waiting[dependency] += 1
         # Top-down: a task's height is final once all its consumers'
         # are, and then raises each of its dependencies'.
-        height = {task_id: 1 for task_id in uncovered}
+        self.height = {task_id: 1 for task_id in uncovered}
         final = [task_id for task_id, count in waiting.items() if not count]
         while final:
             task_id = final.pop()
             for dependency in below[task_id]:
-                height[dependency] = max(
-                    height[dependency], height[task_id] + 1
+                self.height[dependency] = max(
+                    self.height[dependency], self.height[task_id] + 1
                 )
                 waiting[dependency] -= 1
                 if not waiting[dependency]:
                     final.append(dependency)
-        self.busiest = sorted(self.counts.items(), key=lambda kv: -kv[1])
-        self.tallest = sorted(height.items(), key=lambda kv: -kv[1])
+        self.top = max(self.height.values(), default=0)
+        #: uncovered tasks per height, index 0 unused
+        self.level = [0] * (self.top + 1)
+        for height in self.height.values():
+            self.level[height] += 1
+
+    def commit(self, members: List[int]) -> None:
+        """Drop a committed clique of ready tasks from both tables."""
+        for task_id in members:
+            self.counts[self.graph.tasks[task_id].resource] -= 1
+            self.level[self.height.pop(task_id)] -= 1
+        while self.top and not self.level[self.top]:
+            self.top -= 1
 
     def estimate(self, members: List[int]) -> int:
         """Estimate for ``uncovered - members``; every member must be
         an uncovered task with no uncovered dependency."""
         removed: Dict[str, int] = {}
+        emptied: Dict[int, int] = {}
         for task_id in members:
             resource = self.graph.tasks[task_id].resource
             removed[resource] = removed.get(resource, 0) + 1
-        bound = max(
-            (self.counts[r] - n for r, n in removed.items()), default=0
-        )
-        for resource, count in self.busiest:
-            if resource not in removed:
-                bound = max(bound, count)
-                break
-        taken = set(members)
-        for task_id, height in self.tallest:
-            if task_id not in taken:
-                return max(bound, height)
-        return bound
+            height = self.height[task_id]
+            emptied[height] = emptied.get(height, 0) + 1
+        bound = 0
+        for resource, count in self.counts.items():
+            count -= removed.get(resource, 0)
+            if count > bound:
+                bound = count
+        height = self.top
+        while height and self.level[height] == emptied.get(height, 0):
+            height -= 1
+        return max(bound, height)
 
 
-def _feasible_subset(
-    tracker: PressureTracker, clique: FrozenSet[int]
-) -> FrozenSet[int]:
+def _feasible_subset(tracker: PressureTracker, clique: int) -> int:
     """Largest-effort feasible subset: greedily keep members (ascending
     id) while the subset stays within every bank's capacity."""
-    subset: Set[int] = set()
-    for task_id in sorted(clique):
-        candidate = subset | {task_id}
-        if tracker.feasible(candidate):
-            subset = candidate
-    return frozenset(subset)
+    subset = 0
+    rest = clique
+    while rest:
+        low = rest & -rest
+        if tracker.feasible(subset | low):
+            subset |= low
+        rest ^= low
+    return subset
 
 
 def _choose_spill_victim(
     graph: TaskGraph,
     tracker: PressureTracker,
-    candidates: List[FrozenSet[int]],
+    candidates: List[int],
     covered: Set[int],
     ready: Optional[Set[int]] = None,
     protected: Optional[Set[int]] = None,
@@ -221,6 +246,7 @@ def _choose_spill_victim(
     then — Belady-style — the value whose next use is *farthest* away
     (measured in uncovered prerequisite tasks of its nearest consumer),
     breaking ties toward the fewest reloads, the paper's criterion.
+    ``candidates`` are the cycle's distinct candidate clique masks.
 
     Values read by the focused consumer's own dependency subtree
     (``protected``) are only spilled when nothing else is available, and
@@ -344,7 +370,7 @@ def _pick_focus(
 def _pick_spill(
     graph: TaskGraph,
     tracker: PressureTracker,
-    candidates: List[FrozenSet[int]],
+    candidates: List[int],
     covered: Set[int],
     ready: Set[int],
     stuck_strategy: str,
@@ -369,7 +395,7 @@ def _pick_spill(
     # task exists fall back to the nearest blocked consumer of the
     # most-contended bank.
     ready_infeasible = sorted(
-        t for t in ready if not tracker.feasible({t})
+        t for t in ready if not tracker.feasible(1 << t)
     ) if stuck_strategy == "arrival" else []
     if ready_infeasible:
 
@@ -388,7 +414,7 @@ def _pick_spill(
             return (consumer_distance, task_id)
 
         focus = min(ready_infeasible, key=enables_soonest)
-        focus_blocked = tracker.blocked_banks({focus})
+        focus_blocked = tracker.blocked_banks(1 << focus)
         focus_bank = (
             focus_blocked[0]
             if focus_blocked
@@ -467,7 +493,9 @@ def cover_assignment(
 
 class _MaskCliqueCache:
     """Legal clique masks over the current uncovered set, rebuilt
-    incrementally after spills.
+    incrementally after spills.  ``raw`` and ``legal`` hold distinct
+    masks in no promised order: the loop's selection keys are unique per
+    mask, so no decision reads the order.
 
     After :meth:`rebuild`, only cliques whose members *touch* the
     rewired subgraph are re-enumerated.  Touched means the task's
@@ -548,7 +576,6 @@ class _MaskCliqueCache:
         else:
             fresh = set()
         merged = kept + list(fresh)
-        merged.sort(key=lambda m: (-popcount(m), bits(m)))
         self.rows = new_rows
         self.raw = merged
         self.tripped = False
@@ -731,10 +758,10 @@ def _cover_loop_masks(
     remaining = _RemainingWork(graph, uncovered)
     if bound is not None and remaining.cycles() >= bound:
         return None
+    lookahead = _Lookahead(graph, uncovered)
     cache = _MaskCliqueCache()
     cache.build(graph, sorted(uncovered), config)
     state = _ReadyState(graph, covered, issue_cycle, 0)
-    dest_masks = _dest_masks(graph)
     spills_done = 0
     focus: Optional[int] = None
     focus_bank: str = ""
@@ -772,7 +799,7 @@ def _cover_loop_masks(
         if focus is not None:
             allowed = mask_of(_uncovered_ancestors(graph, focus, covered))
             admissible_mask = ready_mask & (
-                ~dest_masks.get(focus_bank, 0) | allowed
+                ~tracker.dest_masks.get(focus_bank, 0) | allowed
             )
             if not admissible_mask:
                 admissible_mask = ready_mask  # nothing focusable; relax
@@ -783,14 +810,10 @@ def _cover_loop_masks(
             if shrunk and shrunk not in seen:
                 seen.add(shrunk)
                 candidates.append(shrunk)
-        as_set = {c: frozenset(iter_bits(c)) for c in candidates}
-        feasible = [c for c in candidates if tracker.feasible(as_set[c])]
+        feasible = [c for c in candidates if tracker.feasible(c)]
         via_subset = False
         if not feasible:
-            subsets = {
-                mask_of(_feasible_subset(tracker, as_set[c]))
-                for c in candidates
-            }
+            subsets = {_feasible_subset(tracker, c) for c in candidates}
             feasible = [s for s in subsets if s]
             if feasible:
                 stats.subset_fallbacks += 1
@@ -801,7 +824,7 @@ def _cover_loop_masks(
             tie = len(top) > 1 and config.lookahead
             if tie:
                 stats.lookahead_ties += 1
-                estimate = _Lookahead(graph, uncovered).estimate
+                estimate = lookahead.estimate
                 chosen = min(top, key=lambda c: (estimate(bits(c)), bits(c)))
             else:
                 chosen = min(top, key=bits)
@@ -820,6 +843,7 @@ def _cover_loop_masks(
                 )
             tracker.commit(chosen_ids)
             remaining.commit(graph, chosen_ids)
+            lookahead.commit(chosen_ids)
             covered.update(chosen_ids)
             uncovered.difference_update(chosen_ids)
             uncovered_mask &= ~chosen
@@ -837,10 +861,9 @@ def _cover_loop_masks(
                 f"register files are too small for this block"
             )
         ready = set(iter_bits(ready_mask))
-        candidate_sets = [as_set[c] for c in candidates]
         explain = [] if jr.enabled else None
         victim, focus, focus_bank = _pick_spill(
-            graph, tracker, candidate_sets, covered, ready, stuck_strategy,
+            graph, tracker, candidates, covered, ready, stuck_strategy,
             explain,
         )
         if jr.enabled:
@@ -857,10 +880,10 @@ def _cover_loop_masks(
         uncovered = set(graph.task_ids()) - covered
         uncovered_mask = mask_of(uncovered)
         remaining.recount(graph, uncovered)
+        lookahead.recount(graph, uncovered)
         tracker.rebuild(schedule)
         cache.rebuild(graph, sorted(uncovered), config)
         state.reset(graph, covered, issue_cycle, now)
-        dest_masks = _dest_masks(graph)
 
     for delivery in sorted(graph.pinned):
         available = issue_cycle[delivery] + graph.latency(delivery)
@@ -875,13 +898,3 @@ def _cover_loop_masks(
         reload_count=graph.reload_count,
     )
 
-
-def _dest_masks(graph: TaskGraph) -> Dict[str, int]:
-    """Per-storage-bank mask of the tasks delivering into it."""
-    masks: Dict[str, int] = {}
-    for task_id, task in graph.tasks.items():
-        if task.dest_storage is not None:
-            masks[task.dest_storage] = (
-                masks.get(task.dest_storage, 0) | (1 << task_id)
-            )
-    return masks

@@ -10,7 +10,8 @@ cycle its last consumer executes (consumers read before writes take
 effect, so a register freed in a cycle may be re-filled in the same
 cycle).  :class:`PressureTracker` maintains, per bank, the set of live
 deliveries and their still-uncovered consumers, and answers whether a
-candidate clique keeps every bank within capacity.
+candidate clique — an int mask of task ids — keeps every bank within
+capacity.
 
 Because the tracker enforces ``occupancy <= bank size`` after every
 scheduled instruction, live ranges form an interval graph whose maximum
@@ -20,10 +21,11 @@ afterwards can never fail (Section IV-F).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.covering.taskgraph import TaskGraph
 from repro.isdl.model import Machine
+from repro.utils.bitset import mask_of, popcount
 
 
 class PressureTracker:
@@ -47,6 +49,9 @@ class PressureTracker:
         #: issue) and then free automatically.  Maps delivery id to the
         #: remaining commits before release.
         self._transient: Dict[int, int] = {}
+        self.dest_masks: Dict[str, int] = _dest_masks(graph)
+        #: the per-cycle view :meth:`_over` reads; ``None`` once stale.
+        self._view: Optional[List[Tuple[str, int, int, List[int]]]] = None
 
     # -- queries -----------------------------------------------------------
 
@@ -71,53 +76,61 @@ class PressureTracker:
         bank = self.graph.tasks[delivery_id].dest_storage
         return set(self.live[bank].get(delivery_id, ()))
 
-    def feasible(self, clique: Iterable[int]) -> bool:
-        """Would scheduling ``clique`` keep every bank within capacity?"""
-        members = set(clique)
-        for bank, occupants in self.live.items():
-            freed = 0
-            for delivery_id, consumers in occupants.items():
-                if delivery_id in self._transient:
-                    if self._transient[delivery_id] <= 1:
-                        freed += 1  # dead value's write lands this cycle
-                elif consumers and consumers.issubset(members):
-                    if delivery_id not in self.graph.pinned:
-                        freed += 1
-            arrivals = self._arrivals(members, bank)
-            if len(occupants) - freed + arrivals > self._bank_sizes[bank]:
-                return False
+    def feasible(self, clique: int) -> bool:
+        """Would scheduling the ``clique`` mask keep every bank within
+        capacity?"""
+        for _ in self._over(clique):
+            return False
         return True
 
-    def blocked_banks(self, clique: Iterable[int]) -> List[str]:
-        """Banks whose capacity the clique would exceed."""
-        members = set(clique)
-        blocked = []
+    def blocked_banks(self, clique: int) -> List[str]:
+        """Banks whose capacity the ``clique`` mask would exceed."""
+        return list(self._over(clique))
+
+    def _over(self, clique: int) -> Iterator[str]:
+        """The banks ``clique`` overfills, in bank order.
+
+        A bank overflows when its occupancy, less the values the clique
+        frees, plus the clique's deliveries into it, exceeds its size.
+        A live value frees when its write lands this cycle (a dead
+        transient) or when the clique holds every pending consumer of
+        it (pinned values never free).
+        """
+        if self._view is None:
+            self._view = self._cycle_view()
+        for bank, excess, dest, frees in self._view:
+            excess += popcount(clique & dest)
+            if excess <= 0:
+                continue
+            for consumers in frees:
+                if not consumers & ~clique:
+                    excess -= 1
+            if excess > 0:
+                yield bank
+
+    def _cycle_view(self) -> List[Tuple[str, int, int, List[int]]]:
+        """Per bank, in bank order: occupancy minus capacity minus the
+        transients that free this cycle, the mask of tasks delivering
+        into the bank, and the consumer mask of each live value that
+        frees once its consumers are all scheduled."""
+        view = []
         for bank, occupants in self.live.items():
-            freed = 0
+            excess = len(occupants) - self._bank_sizes[bank]
+            frees = []
             for delivery_id, consumers in occupants.items():
                 if delivery_id in self._transient:
                     if self._transient[delivery_id] <= 1:
-                        freed += 1
-                elif consumers and consumers.issubset(members):
-                    if delivery_id not in self.graph.pinned:
-                        freed += 1
-            arrivals = self._arrivals(members, bank)
-            if len(occupants) - freed + arrivals > self._bank_sizes[bank]:
-                blocked.append(bank)
-        return blocked
-
-    def _arrivals(self, members: Set[int], bank: str) -> int:
-        count = 0
-        for task_id in members:
-            task = self.graph.tasks[task_id]
-            if task.dest_storage == bank:
-                count += 1
-        return count
+                        excess -= 1  # dead value's write lands this cycle
+                elif consumers and delivery_id not in self.graph.pinned:
+                    frees.append(mask_of(consumers))
+            view.append((bank, excess, self.dest_masks.get(bank, 0), frees))
+        return view
 
     # -- state transitions ---------------------------------------------------
 
     def commit(self, clique: Iterable[int]) -> None:
         """Record that the clique's tasks executed (one instruction)."""
+        self._view = None
         members = set(clique)
         self._covered |= members
         for bank, occupants in self.live.items():
@@ -157,6 +170,7 @@ class PressureTracker:
     def rebuild(self, covered_cliques: List[List[int]]) -> None:
         """Recompute state from scratch after the task graph mutated
         (spill insertion rewires consumers)."""
+        self.dest_masks = _dest_masks(self.graph)
         self.live = {name: {} for name in self._bank_sizes}
         self._covered = set()
         self._transient = {}
@@ -171,3 +185,14 @@ class PressureTracker:
         """Peak simultaneous values per bank — the engine's estimate of
         register requirements (paper, Section III-A)."""
         return dict(self.peak)
+
+
+def _dest_masks(graph: TaskGraph) -> Dict[str, int]:
+    """Per-storage mask of the tasks delivering into it."""
+    masks: Dict[str, int] = {}
+    for task_id, task in graph.tasks.items():
+        if task.dest_storage is not None:
+            masks[task.dest_storage] = (
+                masks.get(task.dest_storage, 0) | (1 << task_id)
+            )
+    return masks

@@ -11,6 +11,8 @@ still matches it:
   writes it (greedy absorb, branching, the ``i < index`` prune);
 - :func:`legalize_cliques` — IV-C.3 splitting plus the pairwise
   subsumption filter;
+- :func:`blocked_banks` / :func:`feasible` — the register check over
+  member sets, walking every bank's live values;
 - :func:`cover_loop` — the IV-D loop that recomputes the ready set every
   cycle and rebuilds every clique after a spill.
 
@@ -34,6 +36,7 @@ from repro.covering.taskgraph import TaskGraph
 from repro.errors import CoverageError
 from repro.isdl.model import Machine
 from repro.telemetry.session import current as _telemetry
+from repro.utils.bitset import mask_of
 from repro.utils.graph import transitive_closure
 
 
@@ -248,6 +251,47 @@ def legalize_cliques(
     return sorted(result, key=lambda c: (-len(c), sorted(c)))
 
 
+def blocked_banks(tracker: PressureTracker, members: Set[int]) -> List[str]:
+    """Banks whose capacity scheduling ``members`` would exceed: per
+    bank, occupancy minus the values freed this cycle (a dead value
+    whose write lands, or a live unpinned value all of whose pending
+    consumers are members) plus the members delivering into it."""
+    graph = tracker.graph
+    blocked = []
+    for bank, occupants in tracker.live.items():
+        freed = 0
+        for delivery_id, consumers in occupants.items():
+            if delivery_id in tracker._transient:
+                if tracker._transient[delivery_id] <= 1:
+                    freed += 1
+            elif consumers and consumers.issubset(members):
+                if delivery_id not in graph.pinned:
+                    freed += 1
+        arrivals = sum(
+            1 for t in members if graph.tasks[t].dest_storage == bank
+        )
+        if len(occupants) - freed + arrivals > tracker.capacity(bank):
+            blocked.append(bank)
+    return blocked
+
+
+def feasible(tracker: PressureTracker, members: Set[int]) -> bool:
+    """Would scheduling ``members`` keep every bank within capacity?"""
+    return not blocked_banks(tracker, members)
+
+
+def feasible_subset(
+    tracker: PressureTracker, clique: FrozenSet[int]
+) -> FrozenSet[int]:
+    """Greedily keep members (ascending id) while the subset stays
+    feasible."""
+    subset: Set[int] = set()
+    for task_id in sorted(clique):
+        if feasible(tracker, subset | {task_id}):
+            subset.add(task_id)
+    return frozenset(subset)
+
+
 def build_cliques(
     graph: TaskGraph, task_ids: List[int], config: HeuristicConfig
 ) -> List[FrozenSet[int]]:
@@ -340,21 +384,19 @@ def cover_loop(
             if shrunk and shrunk not in seen:
                 seen.add(shrunk)
                 candidates.append(shrunk)
-        feasible = [c for c in candidates if tracker.feasible(c)]
+        allowed = [c for c in candidates if feasible(tracker, c)]
         via_subset = False
-        if not feasible:
+        if not allowed:
             # Try feasible subsets before resorting to a spill: a clique
             # may be blocked by one member only.
-            subsets = {
-                cover._feasible_subset(tracker, c) for c in candidates
-            }
-            feasible = [s for s in subsets if s]
-            if feasible:
+            subsets = {feasible_subset(tracker, c) for c in candidates}
+            allowed = [s for s in subsets if s]
+            if allowed:
                 stats.subset_fallbacks += 1
                 via_subset = True
-        if feasible:
-            best_size = max(len(c) for c in feasible)
-            top = [c for c in feasible if len(c) == best_size]
+        if allowed:
+            best_size = max(len(c) for c in allowed)
+            top = [c for c in allowed if len(c) == best_size]
             tie = len(top) > 1 and config.lookahead
             if tie:
                 stats.lookahead_ties += 1
@@ -371,7 +413,7 @@ def cover_loop(
                     uncovered,
                     now,
                     sorted(chosen),
-                    [sorted(c) for c in feasible],
+                    [sorted(c) for c in allowed],
                     [sorted(c) for c in top],
                     tie,
                     via_subset,
@@ -394,7 +436,13 @@ def cover_loop(
             )
         explain = [] if jr.enabled else None
         victim, focus, focus_bank = cover._pick_spill(
-            graph, tracker, candidates, covered, ready, stuck_strategy, explain
+            graph,
+            tracker,
+            [mask_of(c) for c in candidates],
+            covered,
+            ready,
+            stuck_strategy,
+            explain,
         )
         if jr.enabled:
             jr.emit(

@@ -14,6 +14,7 @@ from repro.covering import (
 from repro.errors import CoverageError
 from repro.ir import BlockDAG, Opcode
 from repro.sndag import build_split_node_dag
+from repro.utils.bitset import mask_of
 
 from conftest import build_wide_dag
 
@@ -83,8 +84,8 @@ class TestPressureTracker:
         bank, bank_loads = max(by_bank.items(), key=lambda kv: len(kv[1]))
         capacity = machine.register_file(bank).size
         if len(bank_loads) > capacity:
-            assert not tracker.feasible(bank_loads)
-            assert bank in tracker.blocked_banks(bank_loads)
+            assert not tracker.feasible(mask_of(bank_loads))
+            assert bank in tracker.blocked_banks(mask_of(bank_loads))
 
     def test_pinned_never_freed(self, arch1):
         dag = BlockDAG()

@@ -31,3 +31,14 @@ def test_entry_points_import_only_the_standard_library():
         check=True,
         env={**os.environ, "PYTHONPATH": str(SRC)},
     )
+
+
+def test_cli_import_leaves_the_fuzz_package_unloaded():
+    # Only ``repro fuzz`` needs the fuzz package (and through it the
+    # translation validator); every other launch must not load it.
+    code = "import sys, repro.cli\nassert 'repro.fuzz' not in sys.modules\n"
+    subprocess.run(
+        [sys.executable, "-c", code],
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )

@@ -11,6 +11,7 @@ one clique was feasible, at least one losing alternative.
 
 from __future__ import annotations
 
+import copy
 import json
 from pathlib import Path
 
@@ -40,6 +41,43 @@ from repro.isdl.builtin_machines import BUILTIN_MACHINES
 EXAMPLES = Path(__file__).parent.parent / "examples"
 
 FIR4 = (EXAMPLES / "fir4.minic").read_text()
+
+
+def _assert_same_bytes(first, second):
+    """Fail unless the two reports serialize to the same JSON bytes.
+
+    A mismatch names the first differing decision (block, index, kind,
+    both payloads) or report key instead of handing two ~1 MB strings
+    to pytest's assertion diff, which can run for many minutes.
+    """
+
+    def dump(value):
+        return json.dumps(value, sort_keys=True)
+
+    if dump(first) == dump(second):
+        return
+    for one, two in zip(first["blocks"], second["blocks"]):
+        if one["name"] != two["name"]:
+            pytest.fail(f"blocks {one['name']!r} vs {two['name']!r}")
+        pairs = zip(one["decisions"], two["decisions"])
+        for index, (a, b) in enumerate(pairs):
+            if dump(a) != dump(b):
+                pytest.fail(
+                    f"block {one['name']!r} decision {index} "
+                    f"({a.get('kind')} vs {b.get('kind')}):\n"
+                    f"  {dump(a)}\n  {dump(b)}"
+                )
+        if len(one["decisions"]) != len(two["decisions"]):
+            pytest.fail(
+                f"block {one['name']!r}: {len(one['decisions'])} vs "
+                f"{len(two['decisions'])} decisions"
+            )
+    differing = sorted(
+        key
+        for key in set(first) | set(second)
+        if dump(first.get(key)) != dump(second.get(key))
+    )
+    pytest.fail(f"reports differ outside the shared decisions: {differing}")
 
 
 def _explain(source, machine, **overrides):
@@ -97,17 +135,13 @@ class TestDeterminism:
     def test_two_runs_byte_identical(self, arch_fig6):
         first, _ = _explain(FIR4, arch_fig6)
         second, _ = _explain(FIR4, arch_fig6)
-        assert json.dumps(first, sort_keys=True) == json.dumps(
-            second, sort_keys=True
-        )
+        _assert_same_bytes(first, second)
 
     def test_kernels_byte_identical(self, arch_fig6):
         with reference_kernel():
             reference, _ = _explain(FIR4, arch_fig6)
         bitmask, _ = _explain(FIR4, arch_fig6)
-        assert json.dumps(reference, sort_keys=True) == json.dumps(
-            bitmask, sort_keys=True
-        )
+        _assert_same_bytes(reference, bitmask)
 
     @pytest.mark.parametrize("machine_key", ["arch1", "dualbus", "mac"])
     def test_kernels_byte_identical_across_machines(self, machine_key):
@@ -115,9 +149,27 @@ class TestDeterminism:
         with reference_kernel():
             reference, _ = _explain(FIR4, machine)
         bitmask, _ = _explain(FIR4, machine)
-        assert json.dumps(reference, sort_keys=True) == json.dumps(
-            bitmask, sort_keys=True
-        )
+        _assert_same_bytes(reference, bitmask)
+
+    def test_identity_check_names_the_first_difference(self, arch_fig6):
+        report, _ = _explain(FIR4, arch_fig6)
+        _assert_same_bytes(report, copy.deepcopy(report))
+        block = report["blocks"][0]["name"]
+        changed = copy.deepcopy(report)
+        # Equal as Python values, different as bytes: 7 == 7.0.
+        decision = changed["blocks"][0]["decisions"][3]
+        decision["seq"] = float(decision["seq"])
+        with pytest.raises(pytest.fail.Exception) as failure:
+            _assert_same_bytes(report, changed)
+        assert f"block {block!r} decision 3 (" in str(failure.value)
+        changed = copy.deepcopy(report)
+        changed["blocks"][0]["decisions"].pop()
+        with pytest.raises(pytest.fail.Exception, match="decisions"):
+            _assert_same_bytes(report, changed)
+        changed = copy.deepcopy(report)
+        changed["meta"]["machine"] += "x"
+        with pytest.raises(pytest.fail.Exception, match="'meta'"):
+            _assert_same_bytes(report, changed)
 
     def test_journaling_does_not_change_output(self, arch_fig6):
         from repro.asmgen.program import compile_function

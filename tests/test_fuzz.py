@@ -33,7 +33,11 @@ from repro.fuzz import (
 )
 from repro.fuzz.campaign import generate_case
 from repro.fuzz.machgen import supported_opcodes
-from repro.fuzz.oracle import FuzzCase, break_first_transfer
+from repro.fuzz.oracle import (
+    DEFAULT_OPTIMAL_BUDGET,
+    FuzzCase,
+    break_first_transfer,
+)
 from repro.isdl.parser import parse_machine
 from repro.isdl.writer import machine_to_isdl
 
@@ -249,6 +253,27 @@ class TestCli:
         captured = capsys.readouterr()
         assert code == 0
         assert "fuzz campaign" in captured.out
+
+    @pytest.mark.parametrize(
+        "flags, budget",
+        [([], DEFAULT_OPTIMAL_BUDGET), (["--optimal-budget", "7"], 7)],
+        ids=["default", "given"],
+    )
+    def test_fuzz_optimal_budget_reaches_the_campaign(
+        self, monkeypatch, capsys, flags, budget
+    ):
+        import repro.fuzz
+        from repro.cli import main
+
+        seen = {}
+
+        def campaign(**kwargs):
+            seen.update(kwargs)
+            return run_campaign(seed=91, iterations=0)
+
+        monkeypatch.setattr(repro.fuzz, "run_campaign", campaign)
+        assert main(["fuzz", "--iterations", "0", *flags]) == 0
+        assert seen["optimal_budget"] == budget
 
     def test_fuzz_replay_command(self, capsys, tmp_path):
         from repro.cli import main
